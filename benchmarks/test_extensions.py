@@ -41,8 +41,7 @@ def tree_vs_hash_report(cache) -> Report:
         from repro.db.node import KERNEL_LAYOUT
         index = HashIndex(space, KERNEL_LAYOUT, choose_num_buckets(n),
                           ROBUST_HASH_32, capacity=n, name=f"h{n}")
-        for row, key in enumerate(keys):
-            index.insert(int(key), row + 1)
+        index.build(keys, np.arange(1, n + 1))
         hash_out = offload_probe(index, probes, config=DEFAULT_CONFIG)
         stats = index.stats()
         report.add_row(n, "hash", hash_out.cycles_per_tuple,

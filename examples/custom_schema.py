@@ -49,8 +49,7 @@ def main() -> None:
     keys = unique_keys(5_000, 8, rng)
     index = HashIndex(space, CUSTOM_LAYOUT, choose_num_buckets(5_000),
                       CUSTOM_HASH, capacity=5_000, name="custom")
-    for row, key in enumerate(keys):
-        index.insert(int(key), row + 1)
+    index.build(keys, np.arange(1, len(keys) + 1))
     print(f"Custom schema: {CUSTOM_LAYOUT.describe()}")
     print(f"Custom hash:   {CUSTOM_HASH.name} "
           f"({CUSTOM_HASH.compute_cycles} fused instructions)\n")

@@ -57,8 +57,7 @@ def main() -> None:
     index = HashIndex(hash_space, KERNEL_LAYOUT,
                       choose_num_buckets(N_KEYS), ROBUST_HASH_32,
                       capacity=N_KEYS)
-    for row, key in enumerate(keys):
-        index.insert(int(key), row + 1)
+    index.build(keys, np.arange(1, len(keys) + 1))
     hash_probes = Column("probes", DataType.U32, probe_values)
     hash_probes.materialize(hash_space)
     hash_out = offload_probe(index, hash_probes, config=DEFAULT_CONFIG)

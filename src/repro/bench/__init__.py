@@ -373,8 +373,7 @@ def _build_fig8_inputs() -> Tuple[HashIndex, Column]:
     index = HashIndex(space, KERNEL_LAYOUT,
                       choose_num_buckets(_FIG8_KEYS, 1.0),
                       ROBUST_HASH_32, capacity=_FIG8_KEYS)
-    for row, key in enumerate(keys):
-        index.insert(int(key), row + 1)
+    index.build(keys, np.arange(1, _FIG8_KEYS + 1))
     values = probe_keys(np.asarray(keys), _FIG8_PROBES, 1.0, 4, make_rng(13))
     column = Column("probes", DataType.for_key_bytes(4), values)
     column.materialize(space)

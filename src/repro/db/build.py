@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from ..mem.layout import AddressSpace
 from .column import Column
 from .hashfn import HashSpec, ROBUST_HASH_32, ROBUST_HASH_64
@@ -59,14 +61,9 @@ def build_index(space: AddressSpace, table: Table, key_column: str,
                       capacity=num_rows, name=index_name,
                       key_column=base_column)
 
-    if indirect:
-        for row in range(num_rows):
-            index.insert(int(keys.values[row]), row)
+    if payload_column is not None and not indirect:
+        payloads = table.column(payload_column).values
     else:
-        if payload_column is not None:
-            payloads = table.column(payload_column).values
-        else:
-            payloads = range(num_rows)
-        for row in range(num_rows):
-            index.insert(int(keys.values[row]), int(payloads[row]))
+        payloads = np.arange(num_rows)
+    index.build(keys.values, payloads)
     return index

@@ -74,12 +74,9 @@ class Column:
             return self._region
         name = region_name or f"column:{self.name}"
         region = space.allocate(name, max(self.nbytes, 1), align=64)
-        memory = space.memory
-        width = self.dtype.nbytes
-        addr = region.base
-        for value in self.values:
-            memory.write(addr, width, int(value))
-            addr += width
+        little = self.values.dtype.newbyteorder("<")
+        space.memory.write_array(region.base,
+                                 self.values.astype(little, copy=False))
         self._region = region
         self._space = space
         return region

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from ..errors import InvariantViolation
 
 MASK64 = (1 << 64) - 1
@@ -77,6 +79,35 @@ class HashStep:
             return (h << self.amount) & MASK64
         raise InvariantViolation(f"unhandled hash step kind {self.kind!r}")
 
+    def apply_array(self, h: np.ndarray, scratch: np.ndarray) -> None:
+        """Evaluate this step in place on a ``uint64`` array.
+
+        ``uint64`` arithmetic wraps modulo 2**64, exactly as :meth:`apply`
+        masks with ``MASK64``; ``scratch`` is a same-shaped work buffer.
+        """
+        kind = self.kind
+        amount, const = np.uint64(self.amount), np.uint64(self.const)
+        if kind == "xor_shl":
+            h ^= np.left_shift(h, amount, out=scratch)
+        elif kind == "xor_shr":
+            h ^= np.right_shift(h, amount, out=scratch)
+        elif kind == "add_shl":
+            h += np.left_shift(h, amount, out=scratch)
+        elif kind == "sub_shl":
+            np.subtract(np.left_shift(h, amount, out=scratch), h, out=h)
+        elif kind == "and_const":
+            h &= const
+        elif kind == "xor_const":
+            h ^= const
+        elif kind == "add_const":
+            h += const
+        elif kind == "shr":
+            h >>= amount
+        elif kind == "shl":
+            h <<= amount
+        else:
+            raise InvariantViolation(f"unhandled hash step kind {kind!r}")
+
 
 @dataclass(frozen=True)
 class HashSpec:
@@ -100,6 +131,17 @@ class HashSpec:
         if num_buckets & (num_buckets - 1):
             raise ValueError("bucket count must be a power of two")
         return self(key) & (num_buckets - 1)
+
+    def buckets_of(self, keys: np.ndarray, num_buckets: int) -> np.ndarray:
+        """:meth:`bucket_of` for a whole key array at once (as ``uint64``)."""
+        if num_buckets & (num_buckets - 1):
+            raise ValueError("bucket count must be a power of two")
+        h = np.array(keys, dtype=np.uint64)
+        scratch = np.empty_like(h)
+        for step in self.steps:
+            step.apply_array(h, scratch)
+        h &= np.uint64(num_buckets - 1)
+        return h.astype(np.int32 if num_buckets <= 1 << 31 else np.int64)
 
     @property
     def compute_cycles(self) -> int:

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import InvariantViolation, PlanError
 from ..mem.layout import AddressSpace, Region
 from ..mem.physmem import NULL_PTR
@@ -43,6 +45,36 @@ def choose_num_buckets(num_keys: int, target_nodes_per_bucket: float = 1.0) -> i
     while buckets < want:
         buckets <<= 1
     return buckets
+
+
+def _max_key(layout: NodeLayout) -> int:
+    return (1 << (8 * layout.key_bytes)) - 1
+
+
+def _record_dtype(layout: NodeLayout) -> np.dtype:
+    """One node as a numpy record: the key/row-id slot, the payload
+    (direct layouts only) and the next pointer at their layout offsets."""
+    fields = [("slot", layout.key_offset, layout.key_slot_bytes)]
+    if not layout.indirect:
+        fields.append(("payload", layout.payload_offset, layout.payload_bytes))
+    fields.append(("next", layout.next_offset, 8))
+    return np.dtype({"names": [name for name, _, _ in fields],
+                     "formats": [f"<u{width}" for _, _, width in fields],
+                     "offsets": [offset for _, offset, _ in fields],
+                     "itemsize": layout.stride})
+
+
+#: Keys :meth:`HashIndex.build` lays out per pass; bounds its scratch.
+_BUILD_RUN = 1 << 16
+
+
+def _as_unsigned(values: Sequence[int]) -> np.ndarray:
+    """Unsigned arrays as they are; other arrays as ``uint64``, negatives
+    wrapped to two's complement as :meth:`PhysicalMemory.write` masks
+    them; other sequences exactly (outside ``[0, 2**64)`` raises)."""
+    if not isinstance(values, np.ndarray):
+        return np.array(values, dtype=np.uint64)
+    return values if values.dtype.kind == "u" else values.astype(np.uint64)
 
 
 @dataclass
@@ -97,6 +129,7 @@ class HashIndex:
         self.nodes: Region = space.allocate(
             f"{name}:nodes", capacity * layout.stride, align=64)
         self._next_node = self.nodes.base
+        self._record = _record_dtype(layout)
         self.num_keys = 0
         self._overflow_nodes = 0
         self._initialize_headers()
@@ -149,13 +182,11 @@ class HashIndex:
         return self._read_slot(header_addr) == self.layout.empty_sentinel
 
     def _initialize_headers(self) -> None:
-        layout = self.layout
-        sentinel = layout.empty_sentinel
-        for bucket in range(self.num_buckets):
-            addr = self.bucket_addr(bucket)
-            self.memory.write(addr + layout.key_offset, layout.key_slot_bytes,
-                              sentinel)
-            self.memory.write_u64(addr + layout.next_offset, NULL_PTR)
+        # The bucket region is freshly allocated (zeroed): only the empty
+        # sentinel and the NULL next pointers need storing.
+        headers = np.zeros(self.num_buckets, self._record)
+        headers["slot"] = self.layout.empty_sentinel
+        self.memory.write_array(self.buckets.base, headers)
 
     # ------------------------------------------------------------------
     # Build
@@ -169,6 +200,8 @@ class HashIndex:
         the value at that row — validated).
         """
         layout = self.layout
+        if not layout.indirect and not 0 <= key <= _max_key(layout):
+            raise ValueError(f"key {key} does not fit {layout.key_bytes} bytes")
         if not layout.indirect and key == layout.empty_sentinel:
             raise ValueError("key collides with the empty-bucket sentinel")
         if layout.indirect:
@@ -211,11 +244,138 @@ class HashIndex:
         self.memory.write_u64(addr + layout.next_offset, next_ptr)
 
     def build(self, keys: Sequence[int], payloads: Sequence[int]) -> None:
-        """Bulk insert (Step 1 of the paper's Figure 1)."""
+        """Bulk insert (Step 1 of the paper's Figure 1).
+
+        Stores exactly the bytes, in the same places, that calling
+        :meth:`insert` on each pair in order would, with every check
+        :meth:`insert` makes run (and the first failure raised) before
+        any byte is written.  The layout is computed on array copies of
+        the bucket array and the node heap, a run of keys at a time so
+        the scratch arrays stay small, and each copy is written back in
+        one array write.
+        """
+        keys, payloads = _as_unsigned(keys), _as_unsigned(payloads)
         if len(keys) != len(payloads):
             raise ValueError("keys and payloads must have equal length")
-        for key, payload in zip(keys, payloads):
-            self.insert(int(key), int(payload))
+        if len(keys) == 0:
+            return
+        headers = np.frombuffer(self.memory.read_array(
+            self.buckets.base, self._record.itemsize, self.num_buckets),
+            self._record)
+        room = (self.nodes.end - self._next_node) // self.layout.stride
+        # Zero-filled on demand: only the nodes used take memory.
+        nodes = np.zeros(min(len(keys), room), self._record)
+        column_keys = None
+        if self.layout.indirect:
+            column = self.key_column
+            column_keys = np.frombuffer(self.memory.read_array(
+                column.region.base, column.dtype.nbytes, len(column)),
+                column.values.dtype.newbyteorder("<"))
+        used = 0
+        for start in range(0, len(keys), _BUILD_RUN):
+            run = slice(start, start + _BUILD_RUN)
+            used = self._lay_out(headers, nodes, used, keys[run],
+                                 payloads[run], column_keys)
+        self.memory.write_array(self.buckets.base, headers)
+        self.memory.write_array(self._next_node, nodes[:used])
+        self._next_node += used * self.layout.stride
+        self._overflow_nodes += used
+        self.num_keys += len(keys)
+
+    def _lay_out(self, headers: np.ndarray, nodes: np.ndarray, used: int,
+                 keys: np.ndarray, payloads: np.ndarray,
+                 column_keys: Optional[np.ndarray]) -> int:
+        """Insert one run of keys into the ``headers``/``nodes`` copies,
+        after the ``used`` heap nodes earlier runs took; returns the heap
+        nodes now in use.
+
+        A stable sort by bucket gives each key its rank among the run's
+        keys of its bucket, plus one if the header is already taken.
+        Rank 0 fills the inline header; every later rank takes the next
+        heap node in insertion order.  Each overflow node points at its
+        bucket predecessor's node (rank 1: at the header's old next), and
+        the header at its newest one — the chain header -> newest ->
+        ... -> oldest -> previous chain that repeated insertion builds.
+        """
+        layout = self.layout
+        count = len(keys)
+        bucket = self.hash_spec.buckets_of(keys, self.num_buckets)
+        order = np.argsort(bucket, kind="stable")
+        grouped = bucket[order]
+        position = np.arange(count)
+        leads = np.ones(count, bool)
+        np.not_equal(grouped[1:], grouped[:-1], out=leads[1:])
+        rank = position - np.maximum.accumulate(np.where(leads, position, 0))
+        rank += headers["slot"][grouped] != layout.empty_sentinel
+        spills = np.zeros(count, bool)
+        spills[order[rank > 0]] = True
+        spill = np.flatnonzero(spills)
+        self._check_run(keys, payloads, column_keys,
+                        spill[len(nodes) - used:][:1])
+
+        slot = payloads if layout.indirect else keys
+        inline = rank == 0
+        headers["slot"][grouped[inline]] = slot[order[inline]]
+        fresh = nodes[used:used + len(spill)]
+        fresh["slot"] = slot[spill]
+        if not layout.indirect:
+            headers["payload"][grouped[inline]] = payloads[order[inline]]
+            fresh["payload"] = payloads[spill]
+        stride = layout.stride
+        heap = self._next_node
+        node = np.cumsum(spills) - 1
+        node += used
+        grouped_node = node[order]
+        spilled = np.flatnonzero(rank)
+        below = grouped_node[spilled - 1] * stride + heap
+        first = rank[spilled] == 1
+        below[first] = headers["next"][grouped[spilled[first]]]
+        nodes["next"][grouped_node[spilled]] = below
+        last = np.flatnonzero(np.append(leads[1:], True))
+        last = last[rank[last] > 0]
+        headers["next"][grouped[last]] = grouped_node[last] * stride + heap
+        return used + len(spill)
+
+    def _check_run(self, keys: np.ndarray, payloads: np.ndarray,
+                   column_keys: Optional[np.ndarray],
+                   homeless: np.ndarray) -> None:
+        """Raise what a per-key :meth:`insert` loop over one run would
+        raise first; ``homeless`` holds the first key (if any) the node
+        heap has no room for."""
+        layout = self.layout
+        failures = []   # (index of the failing key, error), checks in order
+        if column_keys is not None:
+            rows = len(column_keys)
+            in_range = payloads < rows
+            outside = np.flatnonzero(~in_range)
+            if len(outside):
+                failures.append((outside[0], IndexError(
+                    f"row {int(payloads[outside[0]])} out of range for "
+                    f"column {self.key_column.name!r}")))
+            row_keys = np.zeros(len(keys), column_keys.dtype)
+            row_keys[in_range] = column_keys[payloads[in_range]
+                                             .astype(np.intp)]
+            wrong = np.flatnonzero(in_range & (row_keys != keys))
+            if len(wrong):
+                at = wrong[0]
+                failures.append((at, PlanError(
+                    f"row {int(payloads[at])} holds key "
+                    f"{int(row_keys[at])}, not {int(keys[at])}")))
+        else:
+            wide = np.flatnonzero(keys > _max_key(layout))
+            if len(wide):
+                failures.append((wide[0], ValueError(
+                    f"key {int(keys[wide[0]])} does not fit "
+                    f"{layout.key_bytes} bytes")))
+            clash = np.flatnonzero(keys == layout.empty_sentinel)
+            if len(clash):
+                failures.append((clash[0], ValueError(
+                    "key collides with the empty-bucket sentinel")))
+        if len(homeless):
+            failures.append((homeless[0], PlanError(
+                f"index {self.name!r} node heap exhausted")))
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
 
     # ------------------------------------------------------------------
     # Probe (the functional reference for Listing 1 / Step 2 of Figure 1)

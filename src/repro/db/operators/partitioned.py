@@ -125,8 +125,7 @@ def partitioned_hash_join(space: AddressSpace, build: Table, probe: Table,
             hash_spec, capacity=len(build_rows),
             name=f"part{partition_bits}b:{number}:"
                  f"{build.name}.{build_key}")
-        for row in build_rows:
-            index.insert(int(build_keys[row]), int(payloads[row]))
+        index.build(build_keys[build_rows], payloads[build_rows])
         keys_column = Column(f"part{number}", build.column(build_key).dtype,
                              probe_keys_all[probe_rows])
         keys_column.materialize(

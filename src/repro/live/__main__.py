@@ -120,8 +120,7 @@ def capture_demo_trails(capacity: int, seed: int = 17, probes: int = 120):
     index = HashIndex(space, KERNEL_LAYOUT,
                       choose_num_buckets(num_keys, 1.0),
                       ROBUST_HASH_32, capacity=num_keys)
-    for row, key in enumerate(keys):
-        index.insert(int(key), row + 1)
+    index.build(keys, np.arange(1, num_keys + 1))
     values = probe_keys(np.asarray(keys), probes, 1.0, 4, make_rng(seed + 1))
     column = Column("probes", DataType.for_key_bytes(4), values)
     column.materialize(space)

@@ -9,7 +9,7 @@ MSHRs (Section 3.2, Equation 3), with same-block miss combining.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from ..config import CacheConfig
 from ..sim.resources import OccupancyPool, PipelinedResource
@@ -96,6 +96,38 @@ class CacheArray:
         members.add(block)
         entries[block] = tick
         return victim
+
+    def warm_run(self, blocks: range, ends: Sequence[int]) -> None:
+        """Insert ``blocks`` in order, block ``i`` at the tick ``ends[i]``
+        steps on — the state a per-block warm loop over the same range
+        leaves (see :mod:`repro.mem.warm`).
+
+        A contiguous run of at least ``num_sets x associativity`` blocks
+        installs only its tail of that many: consecutive block numbers
+        cycle through every set index (masked or modulo), so the tail
+        puts exactly ``associativity`` blocks in every set and LRU evicts
+        every block it did not touch last, whatever was resident before.
+        """
+        tick = self._tick
+        capacity = self.num_sets * self.associativity
+        if blocks.step != 1 or len(blocks) < capacity:
+            insert = self.insert
+            for block, end in zip(blocks, ends):
+                self._tick = tick + end - 1
+                insert(block)
+            return
+        tail = blocks[-capacity:]
+        entries = self._entries
+        entries.clear()
+        entries.update(zip(tail, [tick + end for end in ends[-capacity:]]))
+        sets = self._sets
+        sets.clear()
+        mask = self._set_mask
+        for offset in range(self.num_sets):
+            block = tail[offset]
+            index = block & mask if mask is not None else block % self.num_sets
+            sets[index] = set(tail[offset::self.num_sets])
+        self._tick = tick + ends[-1]
 
     def invalidate(self, block: int) -> None:
         """Drop a block if resident."""

@@ -31,6 +31,7 @@ from .dram import MemoryControllers
 from .interconnect import Crossbar
 from .stats import MemoryStats
 from .tlb import Tlb
+from . import warm
 
 
 @dataclass(frozen=True)
@@ -133,23 +134,11 @@ class MemoryHierarchy:
 
     def warm_block(self, addr: int, level: str = "llc") -> None:
         """Install the block (and its translation) with no timing effect."""
-        block = addr >> self.l1d.array.block_bits
-        self.tlb.warm(addr)
-        if level in ("l1", "l1d"):
-            self.l1d.warm(block)
-            self.llc.warm(block)
-        elif level == "llc":
-            self.llc.warm(block)
-        else:
-            raise ValueError(f"unknown warm level {level!r}")
+        warm.warm_range(self, addr, 1, level, 1)
 
     def warm_range(self, base: int, size: int, level: str = "llc") -> None:
         """Warm every block of ``[base, base+size)``."""
-        block_bytes = self.cfg.l1d.block_bytes
-        addr = base - (base % block_bytes)
-        while addr < base + size:
-            self.warm_block(addr, level)
-            addr += block_bytes
+        warm.warm_range(self, base, size, level, self.cfg.l1d.block_bytes)
 
     # ------------------------------------------------------------------
     # Observability

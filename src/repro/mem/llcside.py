@@ -21,6 +21,7 @@ from .dram import MemoryControllers
 from .hierarchy import AccessResult
 from .stats import MemoryStats
 from .tlb import Tlb
+from . import warm
 
 #: The dedicated buffer next to the LLC-side Widx: small and fast, with a
 #: generous MSHR pool (the design is not sharing a core's ten).
@@ -106,23 +107,11 @@ class LlcSideMemory:
 
     def warm_block(self, addr: int, level: str = "llc") -> None:
         """Install one block (and translation) with no timing effect."""
-        block = self.l1d.block_of(addr)
-        self.tlb.warm(addr)
-        if level in ("l1", "l1d"):
-            self.l1d.warm(block)
-            self.llc.warm(block)
-        elif level == "llc":
-            self.llc.warm(block)
-        else:
-            raise ValueError(f"unknown warm level {level!r}")
+        warm.warm_range(self, addr, 1, level, 1)
 
     def warm_range(self, base: int, size: int, level: str = "llc") -> None:
         """Warm every block of a byte range."""
-        block_bytes = self.cfg.l1d.block_bytes
-        addr = base - (base % block_bytes)
-        while addr < base + size:
-            self.warm_block(addr, level)
-            addr += block_bytes
+        warm.warm_range(self, base, size, level, self.cfg.l1d.block_bytes)
 
     # -- observability -----------------------------------------------------
 

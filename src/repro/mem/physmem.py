@@ -95,6 +95,44 @@ class PhysicalMemory:
         self._store[offset:offset + size] = (value & ((1 << (8 * size)) - 1)) \
             .to_bytes(size, "little")
 
+    def read_array(self, addr: int, itemsize: int, count: int) -> bytearray:
+        """Copy out ``count`` consecutive ``itemsize``-byte elements.
+
+        Checked like :meth:`read` of each element in turn.  The copy is
+        the caller's own (``np.frombuffer`` over it gives a writable
+        array), so no view of the growable store escapes.
+        """
+        offset = self._array_offset(addr, itemsize, count)
+        return self._store[offset:offset + itemsize * count]
+
+    def write_array(self, addr: int, values) -> None:
+        """Write a contiguous array's raw bytes at ``addr`` in one copy.
+
+        ``values`` is any buffer, typically a little-endian numpy array.
+        Checked like :meth:`write` of each element in turn, but before
+        any byte changes: the range must be mapped and ``addr`` aligned
+        to the element size.  Every byte of each element is stored, the
+        padding of a record dtype included.
+        """
+        view = memoryview(values)
+        if not view.c_contiguous:
+            raise ValueError("write_array needs a contiguous array")
+        offset = self._array_offset(addr, view.itemsize, len(view))
+        self._store[offset:offset + view.nbytes] = view.cast("B")
+
+    def _array_offset(self, addr: int, itemsize: int, count: int) -> int:
+        if count < 0:
+            raise ValueError("element count must be non-negative")
+        if count == 0:
+            return 0
+        offset = self._offset(addr, itemsize)
+        end = offset + itemsize * count
+        if end > self._brk - self._base:
+            raise SegmentationFault(
+                f"{itemsize * count}-byte array access at {addr:#x} outside "
+                f"mapped [{self._base:#x}, {self._brk:#x})")
+        return offset
+
     # Sized helpers keep call sites readable.
     def read_u8(self, addr: int) -> int:
         """Read one byte."""

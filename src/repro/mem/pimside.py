@@ -28,6 +28,7 @@ from .dram import DramBankPorts
 from .hierarchy import AccessResult
 from .stats import MemoryStats
 from .tlb import Tlb
+from . import warm
 
 #: The per-vault scratch buffer next to the PIM walkers: effectively the
 #: open row buffers plus a small SRAM — tiny, single-cycle, enough MSHRs
@@ -111,19 +112,11 @@ class PimBankMemory:
         bank array, so there is no larger cache to pre-fill — the paper's
         warmed-checkpoint discipline degenerates to warm translations.
         """
-        self.tlb.warm(addr)
-        if level in ("l1", "l1d"):
-            self.l1d.warm(self.l1d.block_of(addr))
-        elif level != "llc":
-            raise ValueError(f"unknown warm level {level!r}")
+        warm.warm_range(self, addr, 1, level, 1)
 
     def warm_range(self, base: int, size: int, level: str = "llc") -> None:
         """Warm every block of a byte range."""
-        block_bytes = PIM_BUFFER.block_bytes
-        addr = base - (base % block_bytes)
-        while addr < base + size:
-            self.warm_block(addr, level)
-            addr += block_bytes
+        warm.warm_range(self, base, size, level, PIM_BUFFER.block_bytes)
 
     # -- observability -----------------------------------------------------
 

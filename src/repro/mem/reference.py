@@ -24,7 +24,7 @@ not fast.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..config import CacheConfig
 from ..sim.resources import OccupancyPool, PipelinedResource
@@ -84,6 +84,12 @@ class ReferenceCacheArray:
             victim = recency.pop(0)
         recency.append(block)
         return victim
+
+    def warm_run(self, blocks: range, ends: Sequence[int]) -> None:
+        """Insert ``blocks`` one at a time, in order (``ends`` places the
+        ticks of a tick-based array; recency lists need none)."""
+        for block in blocks:
+            self.insert(block)
 
     def invalidate(self, block: int) -> None:
         """Drop a block if resident."""

@@ -13,7 +13,7 @@ reproduces without simulating the radix walk itself.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..config import TlbConfig
 from ..sim.resources import OccupancyPool
@@ -98,6 +98,17 @@ class Tlb:
     def warm(self, addr: int) -> None:
         """Install the page translation with no timing effect."""
         self._insert(self.page_of(addr))
+
+    def warm_run(self, pages: range, ends: Sequence[int]) -> None:
+        """Install ``pages`` in order with no timing effect, page ``i``
+        left at the tick ``ends[i]`` steps on — where a run of per-block
+        :meth:`warm` calls over the same range leaves it (see
+        :mod:`repro.mem.warm`)."""
+        tick = self._tick
+        insert = self._insert
+        for page, end in zip(pages, ends):
+            self._tick = tick + end - 1
+            insert(page)
 
     def register_into(self, registry, prefix: str) -> None:
         """Publish TLB counters and page-walk occupancy under ``prefix``."""

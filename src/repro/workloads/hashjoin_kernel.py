@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+import numpy as np
+
 from ..db.column import Column
 from ..db.datagen import make_rng, probe_keys, unique_keys
 from ..db.hashfn import kernel_hash
@@ -80,8 +82,7 @@ def build_kernel_workload(size: str, probe_count: int, *,
         kernel_hash(spec.hash_mask_bits),
         capacity=spec.tuples,
         name=f"kernel-{spec.name}")
-    for row, key in enumerate(keys):
-        index.insert(int(key), row + 1)  # 4 B payload per tuple
+    index.build(keys, np.arange(1, len(keys) + 1))  # 4 B payload per tuple
     probes = probe_keys(keys, probe_count, match_fraction,
                         spec.key_bytes, rng)
     column = Column("probe_keys", DataType.for_key_bytes(spec.key_bytes),

@@ -25,6 +25,8 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from ..db.column import Column
 from ..db.cost import CostModel, DEFAULT_COST_MODEL
 from ..db.datagen import make_rng, probe_keys, unique_keys
@@ -114,8 +116,7 @@ def build_query_index(spec: QuerySpec, *,
         choose_num_buckets(spec.index_keys, spec.nodes_per_bucket),
         spec.hash_spec, capacity=spec.index_keys,
         name=f"{spec.benchmark}-{spec.label}", key_column=base)
-    for row in range(spec.index_keys):
-        index.insert(int(keys[row]), row)
+    index.build(keys, np.arange(len(keys)))
     probes = probe_keys(keys, probe_count, spec.match_fraction,
                         spec.key_bytes, rng)
     column = Column(f"{spec.label}-probes",
