@@ -21,7 +21,11 @@ from typing import Iterable, List
 from ..config import CoreConfig
 from ..mem.hierarchy import MemoryHierarchy
 from ..obs import Counter
-from .uops import Uop, UopKind
+from .uops import Uop, UopKind, foreign_dep as _foreign_dep
+
+_LOAD = UopKind.LOAD
+_STORE = UopKind.STORE
+_BRANCH = UopKind.BRANCH
 
 
 class InOrderCore:
@@ -36,8 +40,8 @@ class InOrderCore:
         self.memory = memory
         self.mispredict_penalty = mispredict_penalty
         self.load_use_penalty = load_use_penalty
+        self._position = 0              # stream position of the next uop
         self._last_mem_issue = -1.0
-        self._all_done: List[float] = []
         self._issue_time = 0.0
         self._issued_this_cycle = 0
         self._last_miss_done = 0.0
@@ -54,75 +58,111 @@ class InOrderCore:
         registry.register(f"{prefix}.mem_stall_cycles", self.mem_stall_cycles)
         registry.register(f"{prefix}.tlb_stall_cycles", self.tlb_stall_cycles)
 
-    def _issue_slot(self) -> float:
-        if self._issued_this_cycle >= self.config.issue_width:
-            self._issue_time += 1.0
-            self._issued_this_cycle = 0
-        self._issued_this_cycle += 1
-        return self._issue_time
-
     def execute(self, uops: Iterable[Uop]) -> None:
-        """Execute a stream of uops (may be called repeatedly)."""
-        for uop in uops:
-            issue = self._issue_slot()
-            ready = issue
-            # In-order issue stalls until producers complete.
-            for dep in uop.deps:
-                if 0 <= dep < len(self._all_done):
-                    done = self._all_done[dep]
+        """Execute one trace (may be called repeatedly).
+
+        Each uop's deps must name earlier uops of the same call.
+        """
+        width = self.config.issue_width
+        penalty = self.mispredict_penalty
+        load_use = self.load_use_penalty
+        memory = self.memory
+        load = memory.load
+        store = memory.store
+        trap = memory.cfg.tlb.trap_cycles
+        l1d = memory.l1d.array
+        block_bits = l1d.block_bits
+        l1_present = l1d.present
+        base = self._position
+        issue = self._issue_time
+        this_cycle = self._issued_this_cycle
+        last_mem = self._last_mem_issue
+        last_miss_done = self._last_miss_done
+        completion = self._completion
+        loads = self.loads_issued.value
+        mem_stall = self.mem_stall_cycles.value
+        tlb_stall = self.tlb_stall_cycles.value
+        done_at: List[float] = []    # completion time per uop of this call
+        record = done_at.append
+        try:
+            for kind, addr, deps, latency, mispredict in uops:
+                if this_cycle >= width:
+                    issue += 1.0
+                    this_cycle = 0
+                this_cycle += 1
+                ready = issue
+                # In-order issue stalls until producers complete.
+                for dep in deps:
+                    if not base <= dep < base + len(done_at):
+                        raise _foreign_dep(dep, base, base + len(done_at))
+                    done = done_at[dep - base]
                     if done > ready:
                         ready = done
-            if ready > self._issue_time:
-                # The pipeline stalled; later uops cannot issue earlier.
-                self._issue_time = ready
-                self._issued_this_cycle = 1
-            if uop.kind in (UopKind.LOAD, UopKind.STORE):
-                # Only one of the two issue slots handles memory ops.
-                if ready <= self._last_mem_issue:
-                    ready = self._last_mem_issue + 1.0
-                    if ready > self._issue_time:
-                        self._issue_time = ready
-                        self._issued_this_cycle = 1
-                self._last_mem_issue = ready
-            if uop.kind is UopKind.LOAD:
-                start = ready
-                # Single outstanding miss: a load that misses the L1 waits
-                # for the previous miss to complete.  We conservatively
-                # apply the gate before knowing hit/miss only when the block
-                # is not L1-resident.
-                block = self.memory.l1d.block_of(uop.addr)
-                if not self.memory.l1d.array.present(block):
-                    start = max(start, self._last_miss_done)
-                result = self.memory.load(uop.addr, start)
-                done = result.complete + self.load_use_penalty
-                if result.tlb_stall > 0:
-                    # Software TLB-miss trap runs on the core (see ooo.py).
-                    done += self.memory.cfg.tlb.trap_cycles
-                    self._issue_time = max(self._issue_time, done)
-                    self._issued_this_cycle = 0
-                if result.level != "L1":
-                    # A8-style blocking miss: the pipeline stalls until the
-                    # fill returns; no hit-under-miss, no miss-under-miss.
-                    self._last_miss_done = done
-                    self._issue_time = max(self._issue_time, done)
-                    self._issued_this_cycle = 0
-                self.loads_issued += 1
-                self.mem_stall_cycles += max(0.0, done - ready - 1.0)
-                self.tlb_stall_cycles += result.tlb_stall
-            elif uop.kind is UopKind.STORE:
-                self.memory.store(uop.addr, ready)
-                done = ready + 1.0
-            else:
-                done = ready + uop.latency
-            if uop.kind is UopKind.BRANCH and uop.mispredict:
-                stall_until = done + self.mispredict_penalty
-                if stall_until > self._issue_time:
-                    self._issue_time = stall_until
-                    self._issued_this_cycle = 0
-            self._all_done.append(done)
-            if done > self._completion:
-                self._completion = done
-            self.uops_executed += 1
+                if ready > issue:
+                    # The pipeline stalled; later uops cannot issue earlier.
+                    issue = ready
+                    this_cycle = 1
+                if kind is _LOAD or kind is _STORE:
+                    # Only one of the two issue slots handles memory ops.
+                    if ready <= last_mem:
+                        ready = last_mem + 1.0
+                        if ready > issue:
+                            issue = ready
+                            this_cycle = 1
+                    last_mem = ready
+                if kind is _LOAD:
+                    start = ready
+                    # Single outstanding miss: a load that misses the L1
+                    # waits for the previous miss to complete.  We
+                    # conservatively apply the gate before knowing
+                    # hit/miss only when the block is not L1-resident.
+                    if (not l1_present(addr >> block_bits)
+                            and last_miss_done > start):
+                        start = last_miss_done
+                    result = load(addr, start)
+                    done = result.complete + load_use
+                    if result.tlb_stall > 0:
+                        # Software TLB-miss trap runs on the core (see
+                        # ooo.py).
+                        done += trap
+                        if done > issue:
+                            issue = done
+                        this_cycle = 0
+                    if result.level != "L1":
+                        # A8-style blocking miss: the pipeline stalls until
+                        # the fill returns; no hit-under-miss, no
+                        # miss-under-miss.
+                        last_miss_done = done
+                        if done > issue:
+                            issue = done
+                        this_cycle = 0
+                    loads += 1
+                    mem_stall += max(0.0, done - ready - 1.0)
+                    tlb_stall += result.tlb_stall
+                elif kind is _STORE:
+                    store(addr, ready)
+                    done = ready + 1.0
+                else:
+                    done = ready + latency
+                    if mispredict and kind is _BRANCH:
+                        resume = done + penalty
+                        if resume > issue:
+                            issue = resume
+                            this_cycle = 0
+                record(done)
+                if done > completion:
+                    completion = done
+        finally:
+            self._position = base + len(done_at)
+            self._issue_time = issue
+            self._issued_this_cycle = this_cycle
+            self._last_mem_issue = last_mem
+            self._last_miss_done = last_miss_done
+            self._completion = completion
+            self.uops_executed.value += len(done_at)
+            self.loads_issued.value = loads
+            self.mem_stall_cycles.value = mem_stall
+            self.tlb_stall_cycles.value = tlb_stall
 
     @property
     def completion_time(self) -> float:

@@ -18,13 +18,16 @@ in-order on indexing) without simulating rename/issue queues.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Iterable, List
+from typing import Iterable, List
 
 from ..config import CoreConfig
 from ..mem.hierarchy import MemoryHierarchy
 from ..obs import Counter
-from .uops import Uop, UopKind
+from .uops import Uop, UopKind, foreign_dep as _foreign_dep
+
+_LOAD = UopKind.LOAD
+_STORE = UopKind.STORE
+_BRANCH = UopKind.BRANCH
 
 
 class OutOfOrderCore:
@@ -37,15 +40,15 @@ class OutOfOrderCore:
         self.config = config
         self.memory = memory
         self.mispredict_penalty = mispredict_penalty
-        self._done: Deque[float] = deque(maxlen=config.rob_entries)
-        self._done_positions: Deque[int] = deque(maxlen=config.rob_entries)
-        self._all_done: List[float] = []   # completion time per stream position
-        self._horizons: List[float] = []   # running max of completion times
-        self._position = 0
+        self._position = 0              # stream position of the next uop
         self._dispatch_time = 0.0
         self._dispatched_this_cycle = 0
         self._frontend_stall_until = 0.0
-        self._retire_horizon = 0.0
+        # Retire horizon (running max of completion times) of the last
+        # ``rob_entries`` uops, indexed by stream position mod the ROB
+        # size; 0.0 until the ROB has filled once, so the gate is a no-op.
+        self._ring = [0.0] * config.rob_entries
+        self._horizon = 0.0
         self.uops_executed = Counter()
         self.loads_issued = Counter()
         self.mem_stall_cycles = Counter(0.0)
@@ -62,77 +65,98 @@ class OutOfOrderCore:
         registry.register(f"{prefix}.mem_stall_cycles", self.mem_stall_cycles)
         registry.register(f"{prefix}.tlb_stall_cycles", self.tlb_stall_cycles)
 
-    def _dispatch_slot(self) -> float:
-        """Advance the front end by one dispatch slot; returns its time."""
-        if self._dispatch_time < self._frontend_stall_until:
-            self._dispatch_time = self._frontend_stall_until
-            self._dispatched_this_cycle = 0
-        if self._dispatched_this_cycle >= self.config.issue_width:
-            self._dispatch_time += 1.0
-            self._dispatched_this_cycle = 0
-        self._dispatched_this_cycle += 1
-        return self._dispatch_time
-
-    def _rob_gate(self, dispatch: float) -> float:
-        """Dispatch cannot pass retirement of the uop ROB-size earlier."""
-        if len(self._all_done) >= self.config.rob_entries:
-            oldest = self._all_done[len(self._all_done) - self.config.rob_entries]
-            # In-order retirement: the oldest entry retires no earlier than
-            # every older uop's completion (tracked via a running horizon).
-            gate = max(oldest, self._retire_horizon_at(
-                len(self._all_done) - self.config.rob_entries))
-            if gate > dispatch:
-                self._dispatch_time = gate
-                self._dispatched_this_cycle = 1
-                return gate
-        return dispatch
-
-    def _retire_horizon_at(self, position: int) -> float:
-        # The running max of completion times up to `position` approximates
-        # the in-order retire time of that entry.  We maintain it lazily.
-        return self._horizons[position]
-
     def execute(self, uops: Iterable[Uop]) -> None:
-        """Execute a stream of uops (may be called repeatedly)."""
-        horizon = self._horizons[-1] if self._horizons else 0.0
-        for uop in uops:
-            dispatch = self._dispatch_slot()
-            dispatch = self._rob_gate(dispatch)
-            ready = dispatch
-            for dep in uop.deps:
-                if 0 <= dep < len(self._all_done):
-                    done = self._all_done[dep]
+        """Execute one trace (may be called repeatedly).
+
+        Each uop's deps must name earlier uops of the same call.
+        """
+        width = self.config.issue_width
+        rob = self.config.rob_entries
+        penalty = self.mispredict_penalty
+        memory = self.memory
+        load = memory.load
+        store = memory.store
+        trap = memory.cfg.tlb.trap_cycles
+        ring = self._ring
+        base = self._position
+        dispatch = self._dispatch_time
+        this_cycle = self._dispatched_this_cycle
+        stall_until = self._frontend_stall_until
+        horizon = self._horizon
+        loads = self.loads_issued.value
+        mem_stall = self.mem_stall_cycles.value
+        tlb_stall = self.tlb_stall_cycles.value
+        done_at: List[float] = []    # completion time per uop of this call
+        record = done_at.append
+        slot = base % rob
+        try:
+            for kind, addr, deps, latency, mispredict in uops:
+                # Dispatch slot: in order, issue_width per cycle, after any
+                # front-end stall ...
+                if dispatch < stall_until:
+                    dispatch = stall_until
+                    this_cycle = 0
+                if this_cycle >= width:
+                    dispatch += 1.0
+                    this_cycle = 0
+                this_cycle += 1
+                # ... and no earlier than the retirement of the uop
+                # rob_entries back, which retires in order.
+                gate = ring[slot]
+                if gate > dispatch:
+                    dispatch = gate
+                    this_cycle = 1
+                ready = dispatch
+                for dep in deps:
+                    if not base <= dep < base + len(done_at):
+                        raise _foreign_dep(dep, base, base + len(done_at))
+                    done = done_at[dep - base]
                     if done > ready:
                         ready = done
-            if uop.kind is UopKind.LOAD:
-                result = self.memory.load(uop.addr, ready)
-                done = result.complete
-                if result.tlb_stall > 0:
-                    # Software-walked TLB: the miss traps to a handler on
-                    # this core — flush, handle, replay.  Serializes the
-                    # window (Widx instead stalls only the faulting unit).
-                    done += self.memory.cfg.tlb.trap_cycles
-                    self._frontend_stall_until = max(
-                        self._frontend_stall_until, done)
-                self.loads_issued += 1
-                self.mem_stall_cycles += max(0.0, done - ready - 1.0)
-                self.tlb_stall_cycles += result.tlb_stall
-            elif uop.kind is UopKind.STORE:
-                # Stores retire through a store buffer; latency is hidden.
-                self.memory.store(uop.addr, ready)
-                done = ready + 1.0
-            else:
-                done = ready + uop.latency
-            if uop.kind is UopKind.BRANCH and uop.mispredict:
-                self._frontend_stall_until = max(
-                    self._frontend_stall_until, done + self.mispredict_penalty)
-            self._all_done.append(done)
-            horizon = max(horizon, done)
-            self._horizons.append(horizon)
-            self._position += 1
-            self.uops_executed += 1
+                if kind is _LOAD:
+                    result = load(addr, ready)
+                    done = result.complete
+                    if result.tlb_stall > 0:
+                        # Software-walked TLB: the miss traps to a handler
+                        # on this core — flush, handle, replay.  Serializes
+                        # the window (Widx instead stalls only the faulting
+                        # unit).
+                        done += trap
+                        if done > stall_until:
+                            stall_until = done
+                    loads += 1
+                    mem_stall += max(0.0, done - ready - 1.0)
+                    tlb_stall += result.tlb_stall
+                elif kind is _STORE:
+                    # Stores retire through a store buffer; latency is
+                    # hidden.
+                    store(addr, ready)
+                    done = ready + 1.0
+                else:
+                    done = ready + latency
+                    if mispredict and kind is _BRANCH:
+                        resume = done + penalty
+                        if resume > stall_until:
+                            stall_until = resume
+                record(done)
+                if done > horizon:
+                    horizon = done
+                ring[slot] = horizon
+                slot += 1
+                if slot == rob:
+                    slot = 0
+        finally:
+            self._position = base + len(done_at)
+            self._dispatch_time = dispatch
+            self._dispatched_this_cycle = this_cycle
+            self._frontend_stall_until = stall_until
+            self._horizon = horizon
+            self.uops_executed.value += len(done_at)
+            self.loads_issued.value = loads
+            self.mem_stall_cycles.value = mem_stall
+            self.tlb_stall_cycles.value = tlb_stall
 
     @property
     def completion_time(self) -> float:
         """Cycle at which every executed uop has retired."""
-        return self._horizons[-1] if getattr(self, "_horizons", None) else 0.0
+        return self._horizon

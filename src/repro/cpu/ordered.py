@@ -26,7 +26,7 @@ block reuse — the same property :mod:`repro.cpu.trace` relies on.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..config import SystemConfig, DEFAULT_CONFIG
 from ..db import btree as _btree
@@ -38,13 +38,9 @@ from ..db.trie import MlpTrie, probe_value, tag_value
 from ..db.wormhole import WormholeIndex
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.physmem import NULL_PTR
-from ..obs import StatsRegistry
-from ..sim.sampling import BatchStats
-from .inorder import InOrderCore
-from .ooo import OutOfOrderCore
-from .timing import CoreTimingResult
+from .timing import CoreTimingResult, _time_traces
 from .trace import HOST_OPS_PER_HASH_STEP
-from .uops import Uop, UopKind
+from .uops import TraceBuilder, Uop
 
 
 def warm_ordered_index(memory: MemoryHierarchy, index) -> None:
@@ -105,73 +101,46 @@ class TreeTraceGenerator(_OrderedTraceGenerator):
         on its parent's load — the pointer chase an OoO window can only
         overlap *across* probes, never within one."""
         tree = self.tree
-        uops: List[Uop] = []
-
-        def pos() -> int:
-            return stream_base + len(uops)
+        trace = TraceBuilder(stream_base)
+        load, alu, branch = trace.load, trace.alu, trace.branch
 
         key = int(self.probe_keys.values[row])
-        uops.append(Uop(UopKind.LOAD, addr=self.probe_keys.address_of(row)))
-        key_ready = pos() - 1
+        key_ready = load(self.probe_keys.address_of(row))
 
         node_dep = key_ready
         for node in tree.descend_path(key):
             # Meta word: leaf test.  The node address came from the parent.
-            uops.append(Uop(UopKind.LOAD, addr=node, deps=(node_dep,)))
-            meta_ready = pos() - 1
-            uops.append(Uop(UopKind.ALU, deps=(meta_ready,)))
-            uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
+            meta_ready = load(node, node_dep)
+            branch(alu(meta_ready))
             if tree.node_is_leaf(node):
                 matched = None
                 for slot in range(_btree.FANOUT):
-                    uops.append(Uop(
-                        UopKind.LOAD,
-                        addr=node + _btree._KEYS_OFFSET + 4 * slot,
-                        deps=(meta_ready,)))
-                    uops.append(Uop(UopKind.ALU,
-                                    deps=(pos() - 1, key_ready)))
-                    uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
+                    branch(alu(load(node + _btree._KEYS_OFFSET + 4 * slot,
+                                    meta_ready), key_ready))
                     if tree.node_key(node, slot) == key:
                         matched = slot
                         break
                 if matched is not None:
-                    uops.append(Uop(
-                        UopKind.LOAD,
-                        addr=node + _btree._PAYLOADS_OFFSET + 4 * matched,
-                        deps=(meta_ready,)))
+                    load(node + _btree._PAYLOADS_OFFSET + 4 * matched,
+                         meta_ready)
                 elif self.model_mispredicts:
                     # The miss exit deviates from the common found path.
-                    uops.append(Uop(UopKind.BRANCH, deps=(meta_ready,),
-                                    mispredict=True))
+                    branch(meta_ready, mispredict=True)
             else:
                 slot = 0
                 while slot < _btree.FANOUT and key > tree.node_key(node, slot):
-                    uops.append(Uop(
-                        UopKind.LOAD,
-                        addr=node + _btree._KEYS_OFFSET + 4 * slot,
-                        deps=(meta_ready,)))
-                    uops.append(Uop(UopKind.ALU,
-                                    deps=(pos() - 1, key_ready)))
-                    uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
+                    branch(alu(load(node + _btree._KEYS_OFFSET + 4 * slot,
+                                    meta_ready), key_ready))
                     slot += 1
                 if slot < _btree.FANOUT:
-                    uops.append(Uop(
-                        UopKind.LOAD,
-                        addr=node + _btree._KEYS_OFFSET + 4 * slot,
-                        deps=(meta_ready,)))
-                    uops.append(Uop(UopKind.ALU,
-                                    deps=(pos() - 1, key_ready)))
-                    uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
+                    branch(alu(load(node + _btree._KEYS_OFFSET + 4 * slot,
+                                    meta_ready), key_ready))
                 # Child pointer: the dependency that serializes the descent.
-                uops.append(Uop(
-                    UopKind.LOAD,
-                    addr=node + _btree._CHILDREN_OFFSET + 8 * slot,
-                    deps=(meta_ready,)))
-                node_dep = pos() - 1
+                node_dep = load(node + _btree._CHILDREN_OFFSET + 8 * slot,
+                                meta_ready)
         # Probe-loop bookkeeping.
-        uops.append(Uop(UopKind.ALU))
-        uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
-        return uops
+        branch(alu())
+        return trace.uops
 
 
 class TrieTraceGenerator(_OrderedTraceGenerator):
@@ -188,14 +157,11 @@ class TrieTraceGenerator(_OrderedTraceGenerator):
         """One MLP-trie lookup: every candidate bucket address depends
         only on the key load, so the level fetches issue in parallel."""
         trie = self.trie
-        uops: List[Uop] = []
-
-        def pos() -> int:
-            return stream_base + len(uops)
+        trace = TraceBuilder(stream_base)
+        load, alu, branch = trace.load, trace.alu, trace.branch
 
         key = int(self.probe_keys.values[row])
-        uops.append(Uop(UopKind.LOAD, addr=self.probe_keys.address_of(row)))
-        key_ready = pos() - 1
+        key_ready = load(self.probe_keys.address_of(row))
 
         hit_depth = None
         for depth in range(1, _trie.MAX_DEPTH + 1):
@@ -203,16 +169,12 @@ class TrieTraceGenerator(_OrderedTraceGenerator):
             # key alone: the whole address chain for this depth depends
             # only on the key load, NOT on any other depth — the MLP the
             # layout exists to expose.
-            uops.append(Uop(UopKind.ALU, deps=(key_ready,)))  # shift
-            uops.append(Uop(UopKind.ALU, deps=(pos() - 1,)))  # + depth tag
-            prev = pos() - 1
+            prev = alu(alu(key_ready))           # shift, + depth tag
             for _step in trie.hash_spec.steps:
                 for _ in range(HOST_OPS_PER_HASH_STEP):
-                    uops.append(Uop(UopKind.ALU, deps=(prev,)))
-                    prev = pos() - 1
+                    prev = alu(prev)
             for _ in range(3):                   # mask, scale, base add
-                uops.append(Uop(UopKind.ALU, deps=(prev,)))
-                prev = pos() - 1
+                prev = alu(prev)
             addr_ready = prev
 
             expect = tag_value(key, depth)
@@ -221,34 +183,24 @@ class TrieTraceGenerator(_OrderedTraceGenerator):
             for block in trie.chain_blocks(trie.bucket_addr(key, depth)):
                 for index in range(_trie.SLOTS_PER_BUCKET):
                     slot = block + _trie._SLOT_BASE + index * _trie.SLOT_BYTES
-                    uops.append(Uop(UopKind.LOAD,
-                                    addr=slot + _trie._TAG_OFFSET,
-                                    deps=(block_dep,)))
-                    uops.append(Uop(UopKind.ALU, deps=(pos() - 1, key_ready)))
-                    uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
+                    branch(alu(load(slot + _trie._TAG_OFFSET, block_dep),
+                               key_ready))
                     if trie.slot_tag(slot) == expect:
-                        uops.append(Uop(UopKind.LOAD,
-                                        addr=slot + _trie._PAYLOAD_OFFSET,
-                                        deps=(block_dep,)))
+                        load(slot + _trie._PAYLOAD_OFFSET, block_dep)
                         found = True
                         break
                 if found:
                     break
                 # Overflow pointer: the intra-bucket chain IS dependent.
-                uops.append(Uop(UopKind.LOAD,
-                                addr=block + _trie._OVERFLOW_OFFSET,
-                                deps=(block_dep,)))
-                block_dep = pos() - 1
-                uops.append(Uop(UopKind.BRANCH, deps=(block_dep,)))
+                block_dep = load(block + _trie._OVERFLOW_OFFSET, block_dep)
+                branch(block_dep)
             if found:
                 hit_depth = depth
                 break
         mispredict = (self.model_mispredicts
                       and (hit_depth or _trie.MAX_DEPTH) != self._typical_depth)
-        uops.append(Uop(UopKind.ALU))
-        uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,),
-                        mispredict=mispredict))
-        return uops
+        branch(alu(), mispredict=mispredict)
+        return trace.uops
 
 
 class WormholeTraceGenerator(_OrderedTraceGenerator):
@@ -264,14 +216,11 @@ class WormholeTraceGenerator(_OrderedTraceGenerator):
         """One wormhole lookup: binary search over prefix depths in the
         meta hash, then a single leaf scan."""
         wh = self.index
-        uops: List[Uop] = []
-
-        def pos() -> int:
-            return stream_base + len(uops)
+        trace = TraceBuilder(stream_base)
+        load, alu, branch = trace.load, trace.alu, trace.branch
 
         key = int(self.probe_keys.values[row])
-        uops.append(Uop(UopKind.LOAD, addr=self.probe_keys.address_of(row)))
-        key_ready = pos() - 1
+        key_ready = load(self.probe_keys.address_of(row))
 
         # Binary search over prefix depths.  Unlike the trie, the NEXT
         # depth to probe is decided by the CURRENT probe's outcome, so
@@ -283,51 +232,41 @@ class WormholeTraceGenerator(_OrderedTraceGenerator):
         outcome_dep = key_ready
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            uops.append(Uop(UopKind.ALU, deps=(key_ready, outcome_dep)))
-            uops.append(Uop(UopKind.ALU, deps=(pos() - 1,)))
-            prev = pos() - 1
+            prev = alu(alu(key_ready, outcome_dep))
             for _step in wh.hash_spec.steps:
                 for _ in range(HOST_OPS_PER_HASH_STEP):
-                    uops.append(Uop(UopKind.ALU, deps=(prev,)))
-                    prev = pos() - 1
+                    prev = alu(prev)
             for _ in range(3):
-                uops.append(Uop(UopKind.ALU, deps=(prev,)))
-                prev = pos() - 1
+                prev = alu(prev)
 
             value = probe_value(key, mid)
             found = None
             block_dep = prev
+            # The probe's outcome is the last uop on its path.
+            outcome_dep = prev
             block = wh.meta_bucket_addr(value)
             while block != NULL_PTR and found is None:
                 hit = False
                 for index in range(_wormhole.META_SLOTS_PER_BUCKET):
                     slot = (block + _wormhole._META_SLOT_BASE
                             + index * _wormhole.META_SLOT_BYTES)
-                    uops.append(Uop(UopKind.LOAD,
-                                    addr=slot + _wormhole._META_TAG_OFFSET,
-                                    deps=(block_dep,)))
-                    uops.append(Uop(UopKind.ALU, deps=(pos() - 1, key_ready)))
-                    uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
+                    branch(alu(load(slot + _wormhole._META_TAG_OFFSET,
+                                    block_dep), key_ready))
                     if wh.memory.read_u64(
                             slot + _wormhole._META_TAG_OFFSET) == value:
-                        uops.append(Uop(
-                            UopKind.LOAD,
-                            addr=slot + _wormhole._META_LEAF_OFFSET,
-                            deps=(block_dep,)))
+                        outcome_dep = load(
+                            slot + _wormhole._META_LEAF_OFFSET, block_dep)
                         found = wh.memory.read_u64(
                             slot + _wormhole._META_LEAF_OFFSET)
                         hit = True
                         break
                 if hit:
                     break
-                uops.append(Uop(UopKind.LOAD,
-                                addr=block + _wormhole._META_OVERFLOW_OFFSET,
-                                deps=(block_dep,)))
-                block_dep = pos() - 1
-                uops.append(Uop(UopKind.BRANCH, deps=(block_dep,)))
+                block_dep = load(block + _wormhole._META_OVERFLOW_OFFSET,
+                                 block_dep)
+                outcome_dep = branch(block_dep)
                 block = wh.memory.read_u64(
                     block + _wormhole._META_OVERFLOW_OFFSET)
-            outcome_dep = pos() - 1
             if found is None:
                 hi = mid - 1
             else:
@@ -338,19 +277,13 @@ class WormholeTraceGenerator(_OrderedTraceGenerator):
         leaf = best
         leaf_dep = outcome_dep
         while True:
-            uops.append(Uop(UopKind.LOAD,
-                            addr=leaf + _wormhole._NEXT_LEAF_OFFSET,
-                            deps=(leaf_dep,)))
-            next_ready = pos() - 1
+            next_ready = load(leaf + _wormhole._NEXT_LEAF_OFFSET, leaf_dep)
             nxt = wh.next_leaf(leaf)
             if nxt == NULL_PTR:
-                uops.append(Uop(UopKind.BRANCH, deps=(next_ready,)))
+                branch(next_ready)
                 break
-            uops.append(Uop(UopKind.LOAD,
-                            addr=nxt + _wormhole._KEYS_OFFSET,
-                            deps=(next_ready,)))
-            uops.append(Uop(UopKind.ALU, deps=(pos() - 1, key_ready)))
-            uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
+            branch(alu(load(nxt + _wormhole._KEYS_OFFSET, next_ready),
+                       key_ready))
             if wh.leaf_key(nxt, 0) > key:
                 break
             leaf = nxt
@@ -359,25 +292,17 @@ class WormholeTraceGenerator(_OrderedTraceGenerator):
         # Final leaf: scan slots for the key.
         matched = None
         for slot in range(_wormhole.FANOUT):
-            uops.append(Uop(UopKind.LOAD,
-                            addr=leaf + _wormhole._KEYS_OFFSET + 4 * slot,
-                            deps=(leaf_dep,)))
-            uops.append(Uop(UopKind.ALU, deps=(pos() - 1, key_ready)))
-            uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
+            branch(alu(load(leaf + _wormhole._KEYS_OFFSET + 4 * slot,
+                            leaf_dep), key_ready))
             if wh.leaf_key(leaf, slot) == key:
                 matched = slot
                 break
         if matched is not None:
-            uops.append(Uop(
-                UopKind.LOAD,
-                addr=leaf + _wormhole._PAYLOADS_OFFSET + 4 * matched,
-                deps=(leaf_dep,)))
+            load(leaf + _wormhole._PAYLOADS_OFFSET + 4 * matched, leaf_dep)
         elif self.model_mispredicts:
-            uops.append(Uop(UopKind.BRANCH, deps=(leaf_dep,),
-                            mispredict=True))
-        uops.append(Uop(UopKind.ALU))
-        uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
-        return uops
+            branch(leaf_dep, mispredict=True)
+        branch(alu())
+        return trace.uops
 
 
 class BatchedTreeTraceGenerator(_OrderedTraceGenerator):
@@ -410,17 +335,11 @@ class BatchedTreeTraceGenerator(_OrderedTraceGenerator):
         batch's frontier is loaded once per level and later members of
         the group reuse the loaded block."""
         tree = self.tree
-        uops: List[Uop] = []
-
-        def pos() -> int:
-            return stream_base + len(uops)
+        trace = TraceBuilder(stream_base)
+        load, alu, branch = trace.load, trace.alu, trace.branch
 
         keys = [int(self.probe_keys.values[row]) for row in rows]
-        key_ready: Dict[int, int] = {}
-        for slot, row in enumerate(rows):
-            uops.append(Uop(UopKind.LOAD,
-                            addr=self.probe_keys.address_of(row)))
-            key_ready[slot] = pos() - 1
+        key_ready = [load(self.probe_keys.address_of(row)) for row in rows]
         order = sorted(range(len(keys)), key=keys.__getitem__) \
             if self.sort_batches else list(range(len(keys)))
 
@@ -434,48 +353,32 @@ class BatchedTreeTraceGenerator(_OrderedTraceGenerator):
             for node, members in groups.items():
                 # One fetch per distinct node per level — the batched
                 # amortization.  Later members reuse the loaded block.
-                uops.append(Uop(UopKind.LOAD, addr=node,
-                                deps=(members[0][1],)))
-                node_ready = pos() - 1
-                uops.append(Uop(UopKind.ALU, deps=(node_ready,)))
-                uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
+                node_ready = load(node, members[0][1])
+                branch(alu(node_ready))
                 if tree.node_is_leaf(node):
                     for i, _dep in members:
                         for slot in range(_btree.FANOUT):
-                            uops.append(Uop(UopKind.ALU,
-                                            deps=(node_ready, key_ready[i])))
-                            uops.append(Uop(UopKind.BRANCH,
-                                            deps=(pos() - 1,)))
+                            branch(alu(node_ready, key_ready[i]))
                             if tree.node_key(node, slot) == keys[i]:
-                                uops.append(Uop(
-                                    UopKind.LOAD,
-                                    addr=(node + _btree._PAYLOADS_OFFSET
-                                          + 4 * slot),
-                                    deps=(node_ready,)))
+                                load(node + _btree._PAYLOADS_OFFSET
+                                     + 4 * slot, node_ready)
                                 break
                 else:
                     for i, _dep in members:
                         slot = 0
                         while (slot < _btree.FANOUT
                                and keys[i] > tree.node_key(node, slot)):
-                            uops.append(Uop(UopKind.ALU,
-                                            deps=(node_ready, key_ready[i])))
-                            uops.append(Uop(UopKind.BRANCH,
-                                            deps=(pos() - 1,)))
+                            branch(alu(node_ready, key_ready[i]))
                             slot += 1
                         if slot < _btree.FANOUT:
-                            uops.append(Uop(UopKind.ALU,
-                                            deps=(node_ready, key_ready[i])))
-                            uops.append(Uop(UopKind.BRANCH,
-                                            deps=(pos() - 1,)))
+                            branch(alu(node_ready, key_ready[i]))
                         child = tree.node_child(node, slot)
                         if child == NULL_PTR:
                             child = tree._last_real_child(node)
                         next_frontier.append((i, child, node_ready))
             frontier = next_frontier
-        uops.append(Uop(UopKind.ALU))
-        uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
-        return uops
+        branch(alu())
+        return trace.uops
 
 
 def make_ordered_generator(index_class: str, index, probe_keys: Column, *,
@@ -517,13 +420,6 @@ def measure_ordered_indexing(index, probe_keys: Column, *,
     memory = MemoryHierarchy(config)
     if warm_index:
         warm_ordered_index(memory, index)
-    if core == "ooo":
-        model = OutOfOrderCore(config.ooo, memory)
-    elif core == "inorder":
-        model = InOrderCore(config.inorder, memory)
-    else:
-        raise ValueError(f"unknown core model {core!r} (want 'ooo' or 'inorder')")
-
     generator = make_ordered_generator(index_class, index, probe_keys,
                                        batch=batch)
     per_trace = generator.tuples_per_trace
@@ -535,36 +431,7 @@ def measure_ordered_indexing(index, probe_keys: Column, *,
     if len(rows) // per_trace <= warmup_traces:
         raise ValueError(
             f"need more than {warmup_probes} probes to measure after warm-up")
-
-    stats = BatchStats(batch_size=max(1, batch_size // per_trace))
-    measured_tuples = 0
-    measure_start = 0.0
-    for trace_number, uops in enumerate(generator.stream(rows)):
-        before = model.completion_time
-        model.execute(uops)
-        if trace_number == warmup_traces - 1:
-            measure_start = model.completion_time
-        elif trace_number >= warmup_traces:
-            stats.add(model.completion_time - before)
-            measured_tuples += per_trace
-
-    total = model.completion_time - measure_start
-    mean, half = stats.interval()
-    registry = StatsRegistry()
-    model.register_into(registry, f"cpu.{core}")
-    memory.register_into(registry, "mem")
-    warm_tuples = warmup_traces * per_trace
-    return CoreTimingResult(
-        core=core,
-        cycles_per_tuple=total / measured_tuples,
-        ci_half_width=half / per_trace,
-        tuples=measured_tuples,
-        total_cycles=total,
-        mem_stall_per_tuple=model.mem_stall_cycles / max(1, model.uops_executed)
-        * (model.uops_executed / max(1, measured_tuples + warm_tuples)),
-        tlb_stall_per_tuple=model.tlb_stall_cycles
-        / max(1, measured_tuples + warm_tuples),
-        l1_miss_ratio=memory.stats.l1d.miss_ratio,
-        llc_miss_ratio=memory.stats.llc.miss_ratio,
-        stats=registry.to_dict(),
-    )
+    return _time_traces(generator.stream(rows), memory, core=core,
+                        config=config, warmup_traces=warmup_traces,
+                        batch_size=max(1, batch_size // per_trace),
+                        tuples_per_trace=per_trace)

@@ -8,7 +8,7 @@ the remaining probes, reporting a 95% confidence interval over batch means.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..config import SystemConfig, DEFAULT_CONFIG
 from ..db.column import Column
@@ -19,6 +19,7 @@ from ..sim.sampling import BatchStats
 from .inorder import InOrderCore
 from .ooo import OutOfOrderCore
 from .trace import ProbeTraceGenerator
+from .uops import Uop
 
 
 def warm_hash_index(memory: MemoryHierarchy, index: HashIndex) -> None:
@@ -89,13 +90,6 @@ def measure_indexing(index: HashIndex, probe_keys: Column, *,
     memory = MemoryHierarchy(config)
     if warm_index:
         warm_hash_index(memory, index)
-    if core == "ooo":
-        model = OutOfOrderCore(config.ooo, memory)
-    elif core == "inorder":
-        model = InOrderCore(config.inorder, memory)
-    else:
-        raise ValueError(f"unknown core model {core!r} (want 'ooo' or 'inorder')")
-
     generator = ProbeTraceGenerator(index, probe_keys)
     total_rows = len(probe_keys.values)
     if rows is None:
@@ -106,33 +100,52 @@ def measure_indexing(index: HashIndex, probe_keys: Column, *,
     if len(rows) <= warmup_probes:
         raise ValueError(
             f"need more than {warmup_probes} probes to measure after warm-up")
+    return _time_traces(generator.stream(rows), memory, core=core,
+                        config=config, warmup_traces=warmup_probes,
+                        batch_size=batch_size)
+
+
+def _time_traces(traces: Iterable[List[Uop]], memory: MemoryHierarchy, *,
+                 core: str, config: SystemConfig, warmup_traces: int,
+                 batch_size: int, tuples_per_trace: int = 1
+                 ) -> CoreTimingResult:
+    """Run ``traces`` on a fresh ``core`` model over ``memory``: the first
+    ``warmup_traces`` warm it, the rest are timed in batches of
+    ``batch_size`` traces.  The timing tail both measure functions share."""
+    if core == "ooo":
+        model = OutOfOrderCore(config.ooo, memory)
+    elif core == "inorder":
+        model = InOrderCore(config.inorder, memory)
+    else:
+        raise ValueError(f"unknown core model {core!r} (want 'ooo' or 'inorder')")
 
     stats = BatchStats(batch_size=batch_size)
     measured_tuples = 0
     measure_start = 0.0
-    for probe_number, uops in enumerate(generator.stream(rows)):
+    for trace_number, uops in enumerate(traces):
         before = model.completion_time
         model.execute(uops)
-        if probe_number == warmup_probes - 1:
+        if trace_number == warmup_traces - 1:
             measure_start = model.completion_time
-        elif probe_number >= warmup_probes:
+        elif trace_number >= warmup_traces:
             stats.add(model.completion_time - before)
-            measured_tuples += 1
+            measured_tuples += tuples_per_trace
 
     total = model.completion_time - measure_start
     mean, half = stats.interval()
     registry = StatsRegistry()
     model.register_into(registry, f"cpu.{core}")
     memory.register_into(registry, "mem")
+    tuples = measured_tuples + warmup_traces * tuples_per_trace
     return CoreTimingResult(
         core=core,
         cycles_per_tuple=total / measured_tuples,
-        ci_half_width=half,
+        ci_half_width=half / tuples_per_trace,
         tuples=measured_tuples,
         total_cycles=total,
         mem_stall_per_tuple=model.mem_stall_cycles / max(1, model.uops_executed)
-        * (model.uops_executed / max(1, measured_tuples + warmup_probes)),
-        tlb_stall_per_tuple=model.tlb_stall_cycles / max(1, measured_tuples + warmup_probes),
+        * (model.uops_executed / max(1, tuples)),
+        tlb_stall_per_tuple=model.tlb_stall_cycles / max(1, tuples),
         l1_miss_ratio=memory.stats.l1d.miss_ratio,
         llc_miss_ratio=memory.stats.llc.miss_ratio,
         stats=registry.to_dict(),

@@ -23,8 +23,7 @@ from typing import Iterator, List, Optional, Sequence
 
 from ..db.column import Column
 from ..db.hashtable import HashIndex
-from ..mem.physmem import NULL_PTR
-from .uops import Uop, UopKind
+from .uops import TraceBuilder, Uop
 
 #: Host ALU ops per hash mixing step (shift + combine; no fusion).
 HOST_OPS_PER_HASH_STEP = 2
@@ -58,26 +57,20 @@ class ProbeTraceGenerator:
         stream positions starting at ``stream_base``."""
         index = self.index
         layout = index.layout
-        uops: List[Uop] = []
+        trace = TraceBuilder(stream_base)
+        load, alu, branch = trace.load, trace.alu, trace.branch
 
-        def pos() -> int:
-            return stream_base + len(uops)
-
-        key_addr = self.probe_keys.address_of(row)
         key = int(self.probe_keys.values[row])
-        uops.append(Uop(UopKind.LOAD, addr=key_addr))
-        key_ready = pos() - 1
+        key_ready = load(self.probe_keys.address_of(row))
 
         # Hash: a serial ALU chain seeded by the key load.
         prev = key_ready
         for _step in index.hash_spec.steps:
             for _ in range(HOST_OPS_PER_HASH_STEP):
-                uops.append(Uop(UopKind.ALU, deps=(prev,)))
-                prev = pos() - 1
+                prev = alu(prev)
         # Bucket address: mask, scale (shift) and base add.
         for _ in range(3):
-            uops.append(Uop(UopKind.ALU, deps=(prev,)))
-            prev = pos() - 1
+            prev = alu(prev)
         addr_ready = prev
 
         # Walk the actual chain.
@@ -85,46 +78,31 @@ class ProbeTraceGenerator:
         prev_node_dep = addr_ready
         for node_index, node_addr in enumerate(chain):
             last = node_index == len(chain) - 1
-            slot_addr = node_addr + layout.key_offset
-            uops.append(Uop(UopKind.LOAD, addr=slot_addr, deps=(prev_node_dep,)))
-            slot_ready = pos() - 1
+            slot_ready = load(node_addr + layout.key_offset, prev_node_dep)
             cmp_dep = slot_ready
             if layout.indirect:
                 # Address arithmetic into the base column, then the key load.
-                uops.append(Uop(UopKind.ALU, deps=(slot_ready,)))
                 row_id = index.node_payload(node_addr)
-                uops.append(Uop(UopKind.LOAD,
-                                addr=index.key_address_for_row(row_id),
-                                deps=(pos() - 1,)))
-                cmp_dep = pos() - 1
-            uops.append(Uop(UopKind.ALU, deps=(cmp_dep, key_ready)))  # compare
-            uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
+                cmp_dep = load(index.key_address_for_row(row_id),
+                               alu(slot_ready))
+            compare = alu(cmp_dep, key_ready)
+            branch(compare)
             if index.node_key(node_addr) == key and not layout.indirect:
                 # Emit: read the payload (same block as the key slot).
-                uops.append(Uop(UopKind.LOAD,
-                                addr=node_addr + layout.payload_offset,
-                                deps=(pos() - 2,)))
-            next_addr_load = node_addr + layout.next_offset
-            uops.append(Uop(UopKind.LOAD, addr=next_addr_load,
-                            deps=(prev_node_dep,)))
-            next_ready = pos() - 1
-            uops.append(Uop(
-                UopKind.BRANCH, deps=(next_ready,),
-                mispredict=last and self._exit_mispredicts(len(chain))))
+                load(node_addr + layout.payload_offset, compare)
+            next_ready = load(node_addr + layout.next_offset, prev_node_dep)
+            branch(next_ready,
+                   mispredict=last and self._exit_mispredicts(len(chain)))
             prev_node_dep = next_ready
         if not chain:
             # Empty bucket: the header's key slot is still read and compared
             # against the sentinel before the walk loop can exit.
             header = index.bucket_addr(index.bucket_of_key(key))
-            uops.append(Uop(UopKind.LOAD, addr=header + layout.key_offset,
-                            deps=(addr_ready,)))
-            uops.append(Uop(UopKind.ALU, deps=(pos() - 1,)))
-            uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,),
-                            mispredict=self._exit_mispredicts(0)))
+            branch(alu(load(header + layout.key_offset, addr_ready)),
+                   mispredict=self._exit_mispredicts(0))
         # Loop bookkeeping for the key iterator (i++ / bounds test).
-        uops.append(Uop(UopKind.ALU))
-        uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
-        return uops
+        branch(alu())
+        return trace.uops
 
     def stream(self, rows: Optional[Sequence[int]] = None) -> Iterator[List[Uop]]:
         """Yield per-probe traces with stream-consistent dependency indices."""

@@ -131,14 +131,13 @@ def _replay_ooo(plans, cfg, memory, fast_load, hash_alus, warmup, stats):
     """Scalar replay of :meth:`OutOfOrderCore.execute` over probe plans.
 
     State is exactly the core model's: dispatch time + per-cycle count,
-    front-end stall horizon, and — because every dependency is intra-probe
-    and the ROB gate only ever reads the retire horizon ``rob_entries``
-    positions back — a ring buffer of horizons instead of the full
-    ``_all_done``/``_horizons`` lists.  The ring starts at 0.0, so the
-    gate test is a no-op until the ROB has filled once and the explicit
-    warm-up guard the core model needs is unnecessary here.  Each uop's
-    dispatch/retire bookkeeping is inlined into the loop body; the
-    executed-uop and issued-load totals come from the per-plan counts.
+    front-end stall horizon, and the same ring of the last
+    ``rob_entries`` retire horizons (every dependency is intra-probe and
+    the ROB gate only reads the horizon ``rob_entries`` positions back).
+    The ring starts at 0.0, so the gate test is a no-op until the ROB has
+    filled once.  Each uop's dispatch/retire bookkeeping is inlined into
+    the loop body; the executed-uop and issued-load totals come from the
+    per-plan counts.
     """
     width = cfg.issue_width
     rob = cfg.rob_entries

@@ -137,3 +137,37 @@ def test_uop_validation():
         Uop(UopKind.LOAD, addr=0)
     with pytest.raises(ValueError):
         Uop(UopKind.ALU, latency=0)
+
+
+@pytest.mark.parametrize("core_kind", ["ooo", "inorder"])
+class TestForeignDeps:
+    """A dep must name an earlier uop of the same execute call."""
+
+    def test_negative_dep_rejected(self, core_kind):
+        core, _ = fresh(core_kind)
+        with pytest.raises(ValueError, match="not an earlier uop"):
+            core.execute([Uop(UopKind.ALU), Uop(UopKind.ALU, deps=(-1,))])
+
+    def test_self_dep_rejected(self, core_kind):
+        core, _ = fresh(core_kind)
+        with pytest.raises(ValueError, match="not an earlier uop"):
+            core.execute([Uop(UopKind.ALU), Uop(UopKind.ALU, deps=(1,))])
+
+    def test_future_dep_rejected(self, core_kind):
+        core, _ = fresh(core_kind)
+        with pytest.raises(ValueError, match="not an earlier uop"):
+            core.execute([Uop(UopKind.ALU, deps=(1,)), Uop(UopKind.ALU)])
+
+    def test_previous_call_dep_rejected(self, core_kind):
+        core, _ = fresh(core_kind)
+        core.execute([Uop(UopKind.ALU), Uop(UopKind.ALU, deps=(0,))])
+        with pytest.raises(ValueError, match="not an earlier uop"):
+            core.execute([Uop(UopKind.ALU, deps=(1,))])
+
+    def test_deps_are_stream_positions(self, core_kind):
+        core, _ = fresh(core_kind)
+        core.execute([Uop(UopKind.ALU) for _ in range(3)])
+        core.execute([Uop(UopKind.ALU, latency=20),
+                      Uop(UopKind.ALU, deps=(3,))])
+        assert core.completion_time >= 21
+        assert core.uops_executed == 5

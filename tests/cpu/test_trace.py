@@ -133,3 +133,23 @@ def test_empty_bucket_probe_still_reads_header(space):
         uops = generator.probe_uops(row, 0)
         loads = [u for u in uops if u.kind is UopKind.LOAD]
         assert len(loads) >= 2  # key stream + at least the header
+
+
+def test_trace_builder_positions_and_checks():
+    from repro.cpu.uops import TraceBuilder, Uop
+    trace = TraceBuilder(base=10)
+    key = trace.load(64)
+    assert key == 10
+    assert trace.alu(key) == 11
+    assert trace.store(128, 11) == 12
+    assert trace.branch(12, mispredict=True) == 13
+    assert trace.uops == [
+        Uop(UopKind.LOAD, addr=64),
+        Uop(UopKind.ALU, deps=(10,)),
+        Uop(UopKind.STORE, addr=128, deps=(11,)),
+        Uop(UopKind.BRANCH, deps=(12,), mispredict=True)]
+    assert all(type(u) is Uop for u in trace.uops)
+    for emit in (trace.load, trace.store):
+        with pytest.raises(ValueError):
+            emit(0)
+    assert len(trace.uops) == 4
