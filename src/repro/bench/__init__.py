@@ -11,8 +11,9 @@ Three benchmarks cover the three overhauled layers:
 
 ``engine_dispatch``
     A wakeup storm: many processes yielding seeded random delays, timed
-    on the pooled-entry batching :class:`~repro.sim.engine.Engine`
-    versus the linear-scan :class:`~repro.sim.reference.ReferenceEngine`.
+    on the tuple-heap, same-cycle-batch, direct-resume
+    :class:`~repro.sim.engine.Engine` versus the linear-scan
+    :class:`~repro.sim.reference.ReferenceEngine`.
 
 ``cache_probe``
     A lookup-dominated probe storm on the LLC geometry, timed on the

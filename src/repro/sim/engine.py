@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Deque, Dict, Generator, Iterable, List, Optional
+from typing import (Any, Deque, Dict, Generator, Iterable, List, Optional,
+                    Tuple)
 
 from ..errors import ProcessError, SimulationError, SimulationHang
 from ..obs import Counter
@@ -35,46 +36,15 @@ from .events import Event
 
 ProcessGenerator = Generator[Any, Any, Any]
 
-#: Recycled `_Entry` objects kept per engine; bounds pool memory while
-#: covering the steady-state wakeup churn of even wide machines.
-_POOL_LIMIT = 256
+_INF = float("inf")
 
-
-class _Entry:
-    """One scheduled wakeup on the event queue.
-
-    Heap entries compare on ``(when, seq)`` *only* — the payload (a
-    callback, or a process plus its resume value/exception) never
-    participates in ordering, so equal-time entries can never attempt to
-    compare callables.  ``seq`` is unique and monotone, making the order
-    total and FIFO within a cycle.
-
-    An entry carries either ``callback`` (generic scheduled work) or
-    ``process`` (a resume with ``value``/``exc``); keeping the resume
-    payload in slots instead of closing over it removes the per-dispatch
-    lambda allocation the engine previously paid, and lets dispatched
-    entries be pooled and reused.
-    """
-
-    __slots__ = ("when", "seq", "callback", "process", "value", "exc")
-
-    def __init__(self) -> None:
-        self.when = 0.0
-        self.seq = 0
-        self.callback = None
-        self.process: Optional["Process"] = None
-        self.value: Any = None
-        self.exc: Optional[BaseException] = None
-
-    def __lt__(self, other: "_Entry") -> bool:
-        if self.when != other.when:
-            return self.when < other.when
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        payload = (f"process={self.process.name!r}" if self.process is not None
-                   else f"callback={self.callback!r}")
-        return f"_Entry(when={self.when}, seq={self.seq}, {payload})"
+#: One scheduled wakeup: ``(when, seq, process, payload, exc)``.  A
+#: process resume carries its value (or ``exc``) as ``payload``; generic
+#: scheduled work has ``process`` None and the callback as ``payload``.
+#: ``seq`` is unique, so ``heapq``'s C tuple comparison orders entries by
+#: ``(when, seq)`` and never reaches the payload.
+_Wakeup = Tuple[float, int, Optional["Process"], Any,
+                Optional[BaseException]]
 
 
 class Process(Event):
@@ -127,36 +97,67 @@ class Process(Event):
 
     def _resume(self, value: Any = None, exc: Optional[BaseException] = None,
                 ) -> None:
-        if self._halted:
-            # A stale wakeup (scheduled before a fault halted us): the
-            # fault already decided this process's fate.
-            return
+        # A halted process ignores its wakeups: a stale one (scheduled
+        # before a fault halted us) must not run, as the fault already
+        # decided this process's fate.
         engine = self._engine
-        self.waiting_on = None
-        try:
-            if exc is not None:
-                engine._mark_failure_handled(exc)
-                target = self._generator.throw(exc)
+        generator = self._generator
+        queue = engine._queue
+        batch = engine._batch
+        while not self._halted:
+            self.waiting_on = None
+            try:
+                if exc is not None:
+                    engine._mark_failure_handled(exc)
+                    target = generator.throw(exc)
+                else:
+                    target = generator.send(value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except Exception as error:
+                engine._process_failed(self, error)
+                return
+            kind = type(target)
+            if kind is float or kind is int or not isinstance(target, Event):
+                if (kind is not float and kind is not int
+                        and not isinstance(target, (int, float))):
+                    raise SimulationError(f"process {self.name!r} yielded "
+                                          f"unsupported value {target!r}")
+                if not 0 <= target < _INF:
+                    raise SimulationError(
+                        f"process {self.name!r} yielded a "
+                        f"{'negative' if target < 0 else 'non-finite'} "
+                        f"delay: {target}")
+                when = engine.now + target
+                value = None
+                self.waiting_on = ("delay", when)
             else:
-                target = self._generator.send(value)
-        except StopIteration as stop:
-            self.succeed(getattr(stop, "value", None))
-            return
-        except Exception as error:
-            engine._process_failed(self, error)
-            return
-        if isinstance(target, Event):
-            self.waiting_on = target
-            target.add_callback(self._on_wait)
-        elif isinstance(target, (int, float)):
-            if target < 0:
-                raise SimulationError(
-                    f"process {self.name!r} yielded a negative delay: {target}")
-            self.waiting_on = ("delay", engine.now + target)
-            engine._schedule_resume_at(self, engine.now + target, None)
-        else:
-            raise SimulationError(
-                f"process {self.name!r} yielded unsupported value {target!r}")
+                self.waiting_on = target
+                if not target._triggered:
+                    target._callbacks.append(self._on_wait)
+                    return
+                if target.failed:
+                    engine._schedule_resume_exc(self, target.exception)
+                    return
+                # Fired and succeeded: resume now, as _wait_done would.
+                when = engine.now
+                value = target.value
+            # Direct resume: when no filed wakeup precedes this one (the
+            # batch is empty and the heap's head is strictly later — an
+            # equal-time head has a lower seq) and it lies within the
+            # run's ``until``, it is the run loop's next dispatch, so do
+            # that dispatch's bookkeeping here and keep going.
+            if (batch or when > engine._until
+                    or (queue and queue[0][0] <= when)):
+                engine._schedule_resume_at(self, when, value)
+                return
+            engine.now = when
+            engine._sequence += 1
+            engine.dispatched.value += 1
+            if engine.watchdog is not None:
+                engine.watchdog.check(engine)
+            exc = None
 
     def _wait_done(self, event: Event) -> None:
         if event.failed:
@@ -193,8 +194,9 @@ class Engine:
 
     Scheduling is split into two structures chosen by target time:
 
-    * ``_queue`` — a heap of :class:`_Entry` objects for future times;
-    * ``_batch`` — a FIFO of entries for the *current* cycle.  Most
+    * ``_queue`` — a heap of wakeup tuples (see :data:`_Wakeup`) for
+      future times, ordered by ``heapq``'s C tuple comparison;
+    * ``_batch`` — a FIFO of wakeups for the *current* cycle.  Most
       wakeups (event callbacks resuming a waiter "now") land here, at
       O(1) append/popleft instead of O(log n) heap churn.
 
@@ -202,15 +204,18 @@ class Engine:
     already in the heap at the current time were necessarily scheduled
     earlier (lower ``seq``) than anything appended to the batch, so the
     run loop drains same-time heap entries before batch entries, and the
-    batch itself is FIFO.
+    batch itself is FIFO.  A process whose next wakeup is provably the
+    next dispatch skips both structures (see :meth:`Process._resume`).
     """
 
     def __init__(self, detect_deadlock: bool = True) -> None:
         self.now: float = 0.0
-        self._queue: List[_Entry] = []
-        self._batch: Deque[_Entry] = deque()
-        self._pool: List[_Entry] = []
+        self._queue: List[_Wakeup] = []
+        self._batch: Deque[_Wakeup] = deque()
         self._sequence = 0
+        #: The running :meth:`run`'s ``until`` bound; -inf outside a run,
+        #: so no wakeup can qualify for a direct resume there.
+        self._until = -_INF
         self._active_processes = 0
         self._live: Dict[int, Process] = {}
         self._failures: List[_Failure] = []
@@ -249,63 +254,45 @@ class Engine:
         self.schedule_at(self.now + delay, lambda: event.succeed(value))
         return event
 
-    def _make_entry(self, when: float) -> _Entry:
-        if when < self.now:
+    def _bad_time(self, when: float) -> SimulationError:
+        return SimulationError(
+            f"cannot schedule at {when} before current time {self.now}"
+            if when < self.now else f"cannot schedule at non-finite time {when}")
+
+    def _check_until(self, until: Optional[float]) -> None:
+        if until is not None and not until >= self.now:
             raise SimulationError(
-                f"cannot schedule at {when} before current time {self.now}")
-        pool = self._pool
-        entry = pool.pop() if pool else _Entry()
+                f"cannot run until {until}: before current time {self.now}")
+
+    def schedule_at(self, when: float, callback) -> None:
+        """Run ``callback()`` at absolute time ``when``."""
+        if not self.now <= when < _INF:
+            raise self._bad_time(when)
         self._sequence += 1
-        entry.when = when
-        entry.seq = self._sequence
-        return entry
-
-    def _recycle(self, entry: _Entry) -> None:
-        entry.callback = None
-        entry.process = None
-        entry.value = None
-        entry.exc = None
-        if len(self._pool) < _POOL_LIMIT:
-            self._pool.append(entry)
-
-    def _push(self, entry: _Entry) -> None:
-        """File an entry under the two-structure scheme (see class doc)."""
-        if entry.when == self.now:
+        entry = (when, self._sequence, None, callback, None)
+        if when == self.now:
             self._batch.append(entry)
         else:
             heapq.heappush(self._queue, entry)
 
-    def _flush_batch(self) -> None:
-        """Spill current-cycle entries back into the heap (an ``until``
-        bound is rewinding the clock away from their cycle)."""
-        batch = self._batch
-        while batch:
-            heapq.heappush(self._queue, batch.popleft())
-
-    def schedule_at(self, when: float, callback) -> None:
-        """Run ``callback()`` at absolute time ``when``."""
-        entry = self._make_entry(when)
-        entry.callback = callback
-        self._push(entry)
-
     def _schedule_resume(self, process: Process, value: Any) -> None:
-        entry = self._make_entry(self.now)
-        entry.process = process
-        entry.value = value
-        self._push(entry)
+        self._sequence += 1
+        self._batch.append((self.now, self._sequence, process, value, None))
 
     def _schedule_resume_exc(self, process: Process,
                              exc: Optional[BaseException]) -> None:
-        entry = self._make_entry(self.now)
-        entry.process = process
-        entry.exc = exc
-        self._push(entry)
+        self._sequence += 1
+        self._batch.append((self.now, self._sequence, process, None, exc))
 
     def _schedule_resume_at(self, process: Process, when: float, value: Any) -> None:
-        entry = self._make_entry(when)
-        entry.process = process
-        entry.value = value
-        self._push(entry)
+        if not self.now <= when < _INF:
+            raise self._bad_time(when)
+        self._sequence += 1
+        entry = (when, self._sequence, process, value, None)
+        if when == self.now:
+            self._batch.append(entry)
+        else:
+            heapq.heappush(self._queue, entry)
 
     def monitor_resource(self, name: str, resource: Any) -> None:
         """Register a resource for diagnostic dumps (unique-ified name)."""
@@ -324,44 +311,43 @@ class Engine:
         name); if failure-free but blocked processes remain, a deadlock is
         reported as :class:`~repro.errors.SimulationHang`.  Neither check
         runs when an ``until`` bound stops the run early — the simulation
-        is not over.
+        is not over.  An ``until`` before the current time (or NaN) raises
+        :class:`~repro.errors.SimulationError`: the clock never rewinds.
         """
+        self._check_until(until)
+        limit = _INF if until is None else until
         queue = self._queue
         batch = self._batch
         dispatched = self.dispatched
         watchdog = self.watchdog
         heappop = heapq.heappop
-        while queue or batch:
-            # Same-time heap entries carry lower sequence numbers than
-            # anything in the batch (they were scheduled before this cycle
-            # began), so they dispatch first; otherwise the batch — all at
-            # the current time — precedes any strictly-future heap entry.
-            if queue and (not batch or queue[0].when == self.now):
-                when = queue[0].when
-                if until is not None and when > until:
-                    self._flush_batch()
-                    self.now = until
-                    return self.now
-                entry = heappop(queue)
-                self.now = when
-            else:
-                if until is not None and self.now > until:
-                    self._flush_batch()
-                    self.now = until
-                    return self.now
-                entry = batch.popleft()
-            dispatched.value += 1
-            if watchdog is not None:
-                watchdog.check(self)
-            process = entry.process
-            if process is not None:
-                value, exc = entry.value, entry.exc
-                self._recycle(entry)
-                process._resume(value, exc)
-            else:
-                callback = entry.callback
-                self._recycle(entry)
-                callback()
+        self._until = limit
+        try:
+            while queue or batch:
+                # Same-time heap entries carry lower sequence numbers than
+                # anything in the batch (they were scheduled before this
+                # cycle began), so they dispatch first; otherwise the batch
+                # — all at the current time, never past ``limit`` — precedes
+                # any strictly-future heap entry.
+                if queue and (not batch or queue[0][0] == self.now):
+                    when = queue[0][0]
+                    if when > limit:
+                        self.now = limit
+                        return limit
+                    entry = heappop(queue)
+                    self.now = when
+                else:
+                    entry = batch.popleft()
+                dispatched.value += 1
+                if watchdog is not None:
+                    watchdog.check(self)
+                _when, _seq, process, payload, exc = entry
+                if process is not None:
+                    process._resume(payload, exc)
+                else:
+                    payload()
+        finally:
+            self._until = -_INF
         self._raise_unhandled_failures()
         if self.detect_deadlock and self._active_processes > 0:
             raise SimulationHang(
@@ -404,7 +390,7 @@ class Engine:
             lines.append(f"  process {process.name!r}: "
                          f"{process._describe_wait()}")
         for entry in sorted(list(self._queue) + list(self._batch))[:8]:
-            lines.append(f"  pending event at t={entry.when}")
+            lines.append(f"  pending event at t={entry[0]}")
         for name, resource in self.monitored_resources.items():
             describe = getattr(resource, "describe", None)
             detail = describe() if callable(describe) else repr(resource)

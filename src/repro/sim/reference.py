@@ -5,9 +5,9 @@ optimized :class:`~repro.sim.engine.Engine` with none of its machinery:
 
 * the event queue is a plain Python list, and every dispatch does a full
   linear scan for the minimum ``(when, seq)`` entry — no heap, no
-  same-cycle batch, no entry pool;
-* every resume is a freshly allocated closure — no pooled ``_Entry``
-  payload slots.
+  same-cycle batch;
+* every resume is a freshly allocated closure filed on that list — no
+  wakeup tuples, and no direct resume of the next-due process.
 
 It subclasses :class:`Engine` so the failure model, deadlock detection,
 watchdog hooks and diagnostics are *shared code*, and only the scheduling
@@ -23,9 +23,10 @@ Do not "improve" this class: its value is being obviously correct
 
 from __future__ import annotations
 
+import math
 from typing import Any, List, Optional, Tuple
 
-from ..errors import SimulationError, SimulationHang
+from ..errors import SimulationHang
 from .engine import Engine, Process
 
 #: (when, seq, thunk) — seq is unique, so comparisons never reach the thunk.
@@ -39,12 +40,22 @@ class ReferenceEngine(Engine):
         super().__init__(detect_deadlock)
         self._ref_queue: List[_RefEntry] = []
 
+    # Guard: the direct-resume window of Process._resume stays shut (its
+    # test reads the optimized engine's empty heap and batch, not this
+    # list), so every wakeup goes through the min-scan below.
+    @property
+    def _until(self) -> float:
+        return -math.inf
+
+    @_until.setter
+    def _until(self, _value: float) -> None:
+        pass
+
     # -- scheduling: every path allocates a closure --------------------
 
     def _ref_schedule(self, when: float, thunk) -> None:
-        if when < self.now:
-            raise SimulationError(
-                f"cannot schedule at {when} before current time {self.now}")
+        if not self.now <= when < math.inf:
+            raise self._bad_time(when)
         self._sequence += 1
         self._ref_queue.append((when, self._sequence, thunk))
 
@@ -68,7 +79,8 @@ class ReferenceEngine(Engine):
     def run(self, until: Optional[float] = None) -> float:
         """Drain the queue by literal min-scan; same contract as
         :meth:`repro.sim.engine.Engine.run` (failures re-raised,
-        deadlock detected, ``until`` stops early)."""
+        deadlock detected, ``until`` stops early and never rewinds)."""
+        self._check_until(until)
         queue = self._ref_queue
         while queue:
             best = 0

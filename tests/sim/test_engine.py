@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
 from repro.sim.events import CompositeEvent, Event
+from repro.sim.reference import ReferenceEngine
 
 
 def test_timeout_advances_clock():
@@ -131,6 +132,61 @@ def test_schedule_in_past_rejected():
     engine.run()
     with pytest.raises(SimulationError):
         engine.schedule_at(1, lambda: None)
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine])
+def test_run_until_before_now_rejected(engine_cls):
+    """A bound below the clock raises instead of rewinding it."""
+    engine = engine_cls()
+
+    def proc():
+        yield 10.0
+        yield 2.0
+
+    engine.process(proc())
+    assert engine.run(until=10.0) == 10.0
+    with pytest.raises(SimulationError, match="before current time"):
+        engine.run(until=5.0)
+    with pytest.raises(SimulationError):
+        engine.run(until=float("nan"))
+    assert engine.now == 10.0
+    assert engine.run(until=10.0) == 10.0   # equal to now: a no-op stop
+    assert engine.run() == 12.0
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine])
+@pytest.mark.parametrize("delay,message", [
+    (float("nan"), "non-finite delay: nan"),
+    (float("inf"), "non-finite delay: inf"),
+    (float("-inf"), "negative delay: -inf"),
+    (-1, "negative delay: -1"),
+])
+def test_non_finite_and_negative_delays_rejected(engine_cls, delay, message):
+    engine = engine_cls()
+    resumed = []
+
+    def proc():
+        yield 4.0
+        yield delay
+        resumed.append(engine.now)
+
+    engine.process(proc(), "sleeper")
+    with pytest.raises(SimulationError, match=message):
+        engine.run()
+    assert resumed == []
+    assert engine.now == 4.0
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine])
+@pytest.mark.parametrize("when", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_schedule_times_rejected(engine_cls, when):
+    engine = engine_cls()
+    with pytest.raises(SimulationError):
+        engine.schedule_at(when, lambda: None)
+    with pytest.raises(SimulationError):
+        engine.timeout(when)
+    assert engine.pending_events == 0
+    assert engine.run() == 0.0
 
 
 def test_composite_event_waits_for_all():
