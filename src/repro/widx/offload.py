@@ -351,7 +351,7 @@ def offload_tree_search(tree, probe_column: Column, *,
         hierarchy = memory if memory is not None else _hierarchy_for(config)
         if warm:
             hierarchy.warm_range(tree.region.base, tree.footprint_bytes)
-        machine = WidxMachine(config, hierarchy, space.memory)
+        machine = _ordered_machine(config, hierarchy, space)
         machine.build(dispatcher, walker, producer)
 
         base = probe_column.region.base
@@ -377,19 +377,10 @@ def offload_tree_search(tree, probe_column: Column, *,
             {producer.config_registers["out_cursor"]: out_region.base})
 
         run = machine.run(expected_tuples=probes)
-        payloads = [space.memory.read_u64(out_region.base + 8 * i)
-                    for i in range(run.matches)]
-        validated: Optional[bool] = None
-        if validate:
-            validated = sorted(payloads) == sorted(reference)
-            if not validated:
-                raise WidxFault(
-                    f"tree offload diverged: {len(payloads)} emitted vs "
-                    f"{len(reference)} expected")
-        return OffloadOutcome(run=run, payloads=payloads, validated=validated,
-                              memory=hierarchy,
-                              programs={"dispatcher": dispatcher,
-                                        "walker": walker, "producer": producer})
+        return _ordered_outcome(
+            space, machine, hierarchy, run, out_region, reference, validate,
+            {"dispatcher": dispatcher, "walker": walker,
+             "producer": producer}, "tree")
     finally:
         space.release(out_region)
 
@@ -446,7 +437,7 @@ def offload_tree_ranges(tree, ranges, *,
             hierarchy = memory if memory is not None else _hierarchy_for(config)
             if warm:
                 hierarchy.warm_range(tree.region.base, tree.footprint_bytes)
-            machine = WidxMachine(config, hierarchy, space.memory)
+            machine = _ordered_machine(config, hierarchy, space)
             machine.build(dispatcher, walker, producer)
             regs = dispatcher.config_registers
             machine.configure_unit("dispatcher", {
@@ -459,20 +450,10 @@ def offload_tree_ranges(tree, ranges, *,
                 {producer.config_registers["out_cursor"]: out_region.base})
 
             run = machine.run(expected_tuples=len(ranges))
-            payloads = [space.memory.read_u64(out_region.base + 8 * i)
-                        for i in range(run.matches)]
-            validated: Optional[bool] = None
-            if validate:
-                validated = sorted(payloads) == sorted(reference)
-                if not validated:
-                    raise WidxFault(
-                        f"range offload diverged: {len(payloads)} emitted vs "
-                        f"{len(reference)} expected")
-            return OffloadOutcome(run=run, payloads=payloads,
-                                  validated=validated, memory=hierarchy,
-                                  programs={"dispatcher": dispatcher,
-                                            "walker": walker,
-                                            "producer": producer})
+            return _ordered_outcome(
+                space, machine, hierarchy, run, out_region, reference,
+                validate, {"dispatcher": dispatcher, "walker": walker,
+                           "producer": producer}, "range")
         finally:
             space.release(out_region)
     finally:
