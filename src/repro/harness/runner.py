@@ -341,7 +341,8 @@ class MeasurementCache:
                            "batched": offload_batched_tree}[index_class]
                 try:
                     result = offload(index, probes, config=config,
-                                     probes=self.runs.probes)
+                                     probes=self.runs.probes,
+                                     watchdog=self._watchdog())
                 except (SimulationHang, InvariantViolation) as exc:
                     if hasattr(exc, "add_note"):
                         exc.add_note(f"while measuring point {point!r}")

@@ -304,14 +304,16 @@ def offload_tree_search(tree, probe_column: Column, *,
                         probes: Optional[int] = None,
                         warm: bool = True,
                         validate: bool = True,
-                        memory: Optional[MemoryHierarchy] = None
+                        memory: Optional[MemoryHierarchy] = None,
+                        watchdog: Optional[Watchdog] = None
                         ) -> OffloadOutcome:
     """Accelerate B+-tree point lookups (the Section 7 tree extension).
 
     Same machine, different programs: the dispatcher streams probe keys
     (no hashing) and the walkers run the generated tree-descent function.
     Only the ``shared`` and ``private`` organizations apply — trees have no
-    hashing stage to couple.
+    hashing stage to couple.  ``watchdog`` budgets the run as in
+    :func:`offload_probe`; every ordered driver takes one.
     """
     from ..db.btree import BPlusTree
     from .programs import (tree_dispatcher_program, tree_walker_program)
@@ -376,7 +378,7 @@ def offload_tree_search(tree, probe_column: Column, *,
             "producer",
             {producer.config_registers["out_cursor"]: out_region.base})
 
-        run = machine.run(expected_tuples=probes)
+        run = machine.run(expected_tuples=probes, watchdog=watchdog)
         return _ordered_outcome(
             space, machine, hierarchy, run, out_region, reference, validate,
             {"dispatcher": dispatcher, "walker": walker,
@@ -389,7 +391,8 @@ def offload_tree_ranges(tree, ranges, *,
                         config: SystemConfig = DEFAULT_CONFIG,
                         warm: bool = True,
                         validate: bool = True,
-                        memory: Optional[MemoryHierarchy] = None
+                        memory: Optional[MemoryHierarchy] = None,
+                        watchdog: Optional[Watchdog] = None
                         ) -> OffloadOutcome:
     """Accelerate multi-range B+-tree scans (IN-lists, multi-range
     predicates): the dispatcher streams (low, high) pairs and each walker
@@ -449,7 +452,8 @@ def offload_tree_ranges(tree, ranges, *,
                 "producer",
                 {producer.config_registers["out_cursor"]: out_region.base})
 
-            run = machine.run(expected_tuples=len(ranges))
+            run = machine.run(expected_tuples=len(ranges),
+                              watchdog=watchdog)
             return _ordered_outcome(
                 space, machine, hierarchy, run, out_region, reference,
                 validate, {"dispatcher": dispatcher, "walker": walker,
@@ -497,7 +501,9 @@ def offload_trie_search(trie, probe_column: Column, *,
                         validate: bool = True,
                         prefetch: bool = True,
                         memory: Optional[MemoryHierarchy] = None,
-                        engine=None, unit_cls=None) -> OffloadOutcome:
+                        engine=None, unit_cls=None,
+                        watchdog: Optional[Watchdog] = None
+                        ) -> OffloadOutcome:
     """Accelerate MLP-trie point lookups.
 
     The dispatcher streams bare keys; each walker computes all eight
@@ -575,7 +581,7 @@ def offload_trie_search(trie, probe_column: Column, *,
             "producer",
             {producer.config_registers["out_cursor"]: out_region.base})
 
-        run = machine.run(expected_tuples=probes)
+        run = machine.run(expected_tuples=probes, watchdog=watchdog)
         return _ordered_outcome(
             space, machine, hierarchy, run, out_region, reference, validate,
             {"dispatcher": dispatcher, "walker": walker,
@@ -589,7 +595,9 @@ def offload_trie_ranges(trie, ranges, *,
                         warm: bool = True,
                         validate: bool = True,
                         memory: Optional[MemoryHierarchy] = None,
-                        engine=None, unit_cls=None) -> OffloadOutcome:
+                        engine=None, unit_cls=None,
+                        watchdog: Optional[Watchdog] = None
+                        ) -> OffloadOutcome:
     """Accelerate multi-range trie scans over the sorted terminal chain.
 
     The host plans each range's start terminal on its sorted key list
@@ -653,7 +661,8 @@ def offload_trie_ranges(trie, ranges, *,
                 "producer",
                 {producer.config_registers["out_cursor"]: out_region.base})
 
-            run = machine.run(expected_tuples=len(ranges))
+            run = machine.run(expected_tuples=len(ranges),
+                              watchdog=watchdog)
             return _ordered_outcome(
                 space, machine, hierarchy, run, out_region, reference,
                 validate, {"dispatcher": dispatcher, "walker": walker,
@@ -677,7 +686,9 @@ def offload_wormhole_search(index, probe_column: Column, *,
                             warm: bool = True,
                             validate: bool = True,
                             memory: Optional[MemoryHierarchy] = None,
-                            engine=None, unit_cls=None) -> OffloadOutcome:
+                            engine=None, unit_cls=None,
+                            watchdog: Optional[Watchdog] = None
+                            ) -> OffloadOutcome:
     """Accelerate wormhole point lookups.
 
     The tree dispatcher streams (key, first-leaf) pairs; each walker
@@ -754,7 +765,7 @@ def offload_wormhole_search(index, probe_column: Column, *,
             "producer",
             {producer.config_registers["out_cursor"]: out_region.base})
 
-        run = machine.run(expected_tuples=probes)
+        run = machine.run(expected_tuples=probes, watchdog=watchdog)
         return _ordered_outcome(
             space, machine, hierarchy, run, out_region, reference, validate,
             {"dispatcher": dispatcher, "walker": walker,
@@ -768,7 +779,9 @@ def offload_wormhole_ranges(index, ranges, *,
                             warm: bool = True,
                             validate: bool = True,
                             memory: Optional[MemoryHierarchy] = None,
-                            engine=None, unit_cls=None) -> OffloadOutcome:
+                            engine=None, unit_cls=None,
+                            watchdog: Optional[Watchdog] = None
+                            ) -> OffloadOutcome:
     """Accelerate multi-range wormhole scans: locate ``low``'s leaf via
     the MetaTrieHash, then stream the sorted leaf chain."""
     from ..db.btree import KEY_PAD
@@ -831,7 +844,8 @@ def offload_wormhole_ranges(index, ranges, *,
                 "producer",
                 {producer.config_registers["out_cursor"]: out_region.base})
 
-            run = machine.run(expected_tuples=len(ranges))
+            run = machine.run(expected_tuples=len(ranges),
+                              watchdog=watchdog)
             return _ordered_outcome(
                 space, machine, hierarchy, run, out_region, reference,
                 validate, {"dispatcher": dispatcher, "walker": walker,
@@ -850,7 +864,9 @@ def offload_batched_tree(tree, probe_column: Column, *,
                          warm: bool = True,
                          validate: bool = True,
                          memory: Optional[MemoryHierarchy] = None,
-                         engine=None, unit_cls=None) -> OffloadOutcome:
+                         engine=None, unit_cls=None,
+                         watchdog: Optional[Watchdog] = None
+                         ) -> OffloadOutcome:
     """Accelerate level-wise *batched* B+-tree lookups.
 
     Autonomous walkers (the coupled organization, regardless of the
@@ -931,7 +947,7 @@ def offload_batched_tree(tree, probe_column: Column, *,
                 "producer",
                 {producer.config_registers["out_cursor"]: out_region.base})
 
-            run = machine.run(expected_tuples=probes)
+            run = machine.run(expected_tuples=probes, watchdog=watchdog)
             return _ordered_outcome(
                 space, machine, hierarchy, run, out_region, reference,
                 validate, {"walker": walker, "producer": producer},

@@ -17,6 +17,7 @@ import os
 
 import pytest
 
+from repro.errors import SimulationHang
 from repro.harness import figindexes, figserve
 from repro.harness.campaign import (Campaign, RetryPolicy, _measure_point,
                                     index_point)
@@ -24,6 +25,8 @@ from repro.harness.cachestore import encode_measurement
 from repro.harness.chaos import ChaosSpec
 from repro.harness.cli import main
 from repro.harness.runner import MeasurementCache, RunSettings
+from repro.sim.watchdog import WatchdogLimits
+from repro.widx.offload import offload_trie_search
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -83,6 +86,37 @@ def test_batched_point_uses_the_coupled_organization():
                and p.core == "widx"]
     assert len(batched) == 1
     assert batched[0].mode == "coupled"
+
+
+# ---------------------------------------------------------------------------
+# watchdog budgets reach every ordered-index Widx point
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("index_class,mode", [("btree", "shared"),
+                                              ("trie", "shared"),
+                                              ("wormhole", "shared"),
+                                              ("batched", "coupled")])
+def test_tight_watchdog_limits_hang_ordered_widx_points(index_class, mode):
+    cache = MeasurementCache(runs=SETTINGS,
+                             watchdog_limits=WatchdogLimits(max_cycles=50.0))
+    name = f"{index_class}:Small"
+    with pytest.raises(SimulationHang) as caught:
+        cache.index(name, "widx", walkers=2, mode=mode)
+    point = ("index", "ordered", name, "widx", 2, mode)
+    assert f"while measuring point {point!r}" in caught.value.__notes__
+    assert cache.measured_points == 0
+
+
+def test_ordered_widx_point_without_limits_runs_the_default_watchdog():
+    cache = MeasurementCache(runs=SETTINGS)
+    outcome = cache.index("trie:Small", "widx", walkers=2, mode="shared")
+    index, probes = MeasurementCache(runs=SETTINGS).ordered_workload(
+        "trie:Small")
+    direct = offload_trie_search(
+        index, probes, probes=SETTINGS.probes,
+        config=cache.config.with_widx(num_walkers=2, mode="shared"))
+    assert outcome.run.total_cycles == direct.run.total_cycles
+    assert outcome.stats == direct.stats
 
 
 # ---------------------------------------------------------------------------
