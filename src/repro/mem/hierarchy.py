@@ -1,8 +1,8 @@
 """The full memory hierarchy: TLB → L1-D → crossbar → LLC → DRAM.
 
 This is the timing heart of the reproduction.  Every load/store issued by a
-baseline core model or a Widx unit flows through :meth:`MemoryHierarchy.load`
-or :meth:`MemoryHierarchy.store`, which:
+baseline core model or a Widx unit flows through :meth:`MemoryPath.load`
+or :meth:`MemoryPath.store`, which:
 
 1. translates through the shared TLB (bounded in-flight page walks),
 2. wins an L1-D port (2 ports, 1 access/port/cycle),
@@ -14,6 +14,9 @@ or :meth:`MemoryHierarchy.store`, which:
 returning an :class:`AccessResult` with the completion time and a
 TLB-vs-memory stall attribution used by the Figure 8/9 cycle breakdowns.
 
+The TLB, L1 port and L1 tag steps run as one flat pass, shared by all
+three placements, on the state their components own (DESIGN.md §11).
+
 Simplifications (documented per DESIGN.md): write-backs of dirty victims do
 not consume modelled bandwidth, and the L1-I side is not modelled (Widx
 units fetch from a tiny instruction buffer; the baseline indexing loops fit
@@ -23,9 +26,10 @@ small constant factors to all designs equally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple, Tuple
 
-from ..config import SystemConfig
+from ..config import CacheConfig, SystemConfig, TlbConfig
 from .cache import CacheLevel
 from .dram import MemoryControllers
 from .interconnect import Crossbar
@@ -34,8 +38,7 @@ from .tlb import Tlb
 from . import warm
 
 
-@dataclass(frozen=True)
-class AccessResult:
+class AccessResult(NamedTuple):
     """Timing outcome of one memory access."""
 
     complete: float        # absolute cycle the data is usable (load-to-use)
@@ -47,31 +50,32 @@ class AccessResult:
         return self.complete - issued
 
 
-class MemoryHierarchy:
-    """Timing model of one core's view of the memory system.
+#: ``AccessResult`` from a ``(complete, tlb_stall, level)`` tuple, in C.
+access_result = partial(tuple.__new__, AccessResult)
 
-    ``shared_llc`` / ``shared_dram`` let several cores' hierarchies share
-    one LLC and one memory-controller bank — the Table 2 CMP, where four
-    cores contend for the 4 MB LLC and two DDR3 channels (see
-    :mod:`repro.cmp`).  TLB, L1-D and the crossbar port stay private.
+
+class MemoryPath:
+    """The front half every placement shares: TLB → private buffer (L1).
+
+    Subclasses supply ``_miss(block, miss_start, tlb_stall)``, which
+    services a fresh buffer miss whose MSHR is held from ``miss_start``
+    and ends with ``l1d.finish_miss``, and name the components behind the
+    buffer that :meth:`register_into` publishes.
     """
 
-    def __init__(self, cfg: SystemConfig,
-                 shared_llc: CacheLevel = None,
-                 shared_dram: MemoryControllers = None) -> None:
+    #: Private components behind the buffer, published under their names.
+    _private: Tuple[str, ...] = ()
+    #: ``(attribute, name)`` of the shared ones (see :meth:`register_into`).
+    _shared: Tuple[Tuple[str, str], ...] = (("llc", "llc"), ("dram", "dram"))
+
+    def __init__(self, cfg: SystemConfig, tlb_cfg: TlbConfig,
+                 buffer_cfg: CacheConfig, buffer_name: str) -> None:
         self.cfg = cfg
-        self.tlb = Tlb(cfg.tlb)
-        self.l1d = CacheLevel(cfg.l1d, "L1-D")
-        self.llc = (shared_llc if shared_llc is not None
-                    else CacheLevel(cfg.llc, "LLC"))
-        self.crossbar = Crossbar(cfg.interconnect_cycles)
-        self.dram = (shared_dram if shared_dram is not None
-                     else MemoryControllers(cfg.dram, cfg.freq_ghz,
-                                            cfg.llc.block_bytes))
+        self.tlb = Tlb(tlb_cfg)
+        self.l1d = CacheLevel(buffer_cfg, buffer_name)
         self.stats = MemoryStats()
         # Share the per-level stats objects so both views stay consistent.
         self.stats.l1d = self.l1d.stats
-        self.stats.llc = self.llc.stats
         self.stats.tlb = self.tlb.stats
 
     # ------------------------------------------------------------------
@@ -94,39 +98,66 @@ class MemoryHierarchy:
         return self._access(addr, now)
 
     def _access(self, addr: int, now: float) -> AccessResult:
-        translated, tlb_stall = self.tlb.translate(addr, now)
+        # -- TLB: Tlb.translate's hit inline; a miss, or a page with a walk
+        # on record (in flight to share, or done and not yet cleared),
+        # goes through translate itself.
+        tlb = self.tlb
+        page = addr >> tlb._page_bits
+        pages = tlb._entries
+        if page in pages and page not in tlb._inflight:
+            tlb.stats.accesses.value += 1
+            tlb._tick = tick = tlb._tick + 1
+            pages[page] = tick
+            ready = now
+            tlb_stall = 0.0
+        else:
+            ready, tlb_stall = tlb.translate(addr, now)
+
+        # -- L1 port: PipelinedResource.request with service == 1; the
+        # prune test can only pass when the watermark moves.
         l1d = self.l1d
-        block = addr >> l1d.array.block_bits
-        port_time = l1d.port_grant(translated)
-        outcome = l1d.probe(block, port_time)
-        if outcome is None:  # L1 hit
-            return AccessResult(port_time + self.cfg.l1d.latency_cycles,
-                                tlb_stall, "L1")
-        if outcome >= 0:  # combined with an in-flight miss
-            return AccessResult(max(outcome, port_time + self.cfg.l1d.latency_cycles),
-                                tlb_stall, "L1")
-        # Fresh L1 miss: MSHR, then LLC.
-        llc = self.llc
-        miss_start = l1d.begin_miss(port_time)
-        llc_arrival = self.crossbar.traverse(miss_start)
-        llc_block = block  # block sizes match by config invariant
-        llc_port = llc.port_grant(llc_arrival)
-        llc_outcome = llc.probe(llc_block, llc_port)
-        if llc_outcome is None:  # LLC hit
-            data_at_llc = llc_port + self.cfg.llc.latency_cycles
-            level = "LLC"
-        elif llc_outcome >= 0:  # combined at the LLC
-            data_at_llc = max(llc_outcome, llc_port + self.cfg.llc.latency_cycles)
-            level = "LLC"
-        else:  # LLC miss: off-chip
-            llc_miss_start = llc.begin_miss(llc_port)
-            data_at_llc = self.dram.fetch(llc_block, llc_miss_start)
-            llc.finish_miss(llc_block, data_at_llc)
-            self.stats.dram_blocks.value += 1
-            level = "DRAM"
-        fill_time = self.crossbar.traverse(data_at_llc)
-        l1d.finish_miss(block, fill_time)
-        return AccessResult(fill_time, tlb_stall, level)
+        ports = l1d.ports
+        if ready > ports._max_now:
+            ports._max_now = ready
+            cutoff = int(ready - ports._horizon)
+            if ports._prune_cursor < cutoff - 50_000:
+                ports._prune_cycles(cutoff)
+        ports.grants.value += 1
+        ports.busy_cycles.value += 1.0
+        counts = ports._cycle_counts
+        cycle = int(ready)
+        if cycle < ready:
+            cycle += 1
+        count = counts.get(cycle, 0)
+        while count >= ports.servers:
+            cycle += 1
+            count = counts.get(cycle, 0)
+        counts[cycle] = count + 1
+        port_time = float(cycle)
+
+        # -- L1 probe: combine with an in-flight fill, hit, or miss.
+        stats = l1d.stats
+        stats.accesses.value += 1
+        array = l1d.array
+        block = addr >> array.block_bits
+        fills = l1d._inflight
+        pending = fills.get(block)
+        if pending is not None:
+            if pending > port_time:
+                stats.combined_misses.value += 1
+                hit = port_time + l1d.cfg.latency_cycles
+                return access_result((pending if pending >= hit else hit,
+                                      tlb_stall, "L1"))
+            del fills[block]
+        entries = array._entries
+        if block in entries:
+            array._tick = tick = array._tick + 1
+            entries[block] = tick
+            stats.hits.value += 1
+            return access_result((port_time + l1d.cfg.latency_cycles,
+                                  tlb_stall, "L1"))
+        stats.misses.value += 1
+        return self._miss(block, l1d.begin_miss(port_time), tlb_stall)
 
     # ------------------------------------------------------------------
     # Functional warm-up (SimFlex-style warm checkpoints)
@@ -155,7 +186,59 @@ class MemoryHierarchy:
         self.stats.register_into(registry, prefix)
         self.tlb.register_into(registry, f"{prefix}.tlb")
         self.l1d.register_into(registry, f"{prefix}.l1d")
-        self.crossbar.register_into(registry, f"{prefix}.crossbar")
+        for name in self._private:
+            getattr(self, name).register_into(registry, f"{prefix}.{name}")
         if include_shared:
-            self.llc.register_into(registry, f"{prefix}.llc")
-            self.dram.register_into(registry, f"{prefix}.dram")
+            for attr, name in self._shared:
+                getattr(self, attr).register_into(registry,
+                                                  f"{prefix}.{name}")
+
+
+def llc_fetch(memory, block: int, arrival: float) -> Tuple[float, str]:
+    """The LLC step of a buffer miss reaching the LLC at ``arrival``:
+    ``(data ready at the LLC, level)``.  It runs on a fresh buffer miss
+    only, so it stays calls on the LLC."""
+    llc = memory.llc
+    port_time = llc.port_grant(arrival)
+    outcome = llc.probe(block, port_time)
+    if outcome is None:
+        return port_time + llc.cfg.latency_cycles, "LLC"
+    if outcome >= 0:  # combined at the LLC
+        return max(outcome, port_time + llc.cfg.latency_cycles), "LLC"
+    data = memory.dram.fetch(block, llc.begin_miss(port_time))
+    llc.finish_miss(block, data)
+    memory.stats.dram_blocks.value += 1
+    return data, "DRAM"
+
+
+class MemoryHierarchy(MemoryPath):
+    """Timing model of one core's view of the memory system.
+
+    ``shared_llc`` / ``shared_dram`` let several cores' hierarchies share
+    one LLC and one memory-controller bank — the Table 2 CMP, where four
+    cores contend for the 4 MB LLC and two DDR3 channels (see
+    :mod:`repro.cmp`).  TLB, L1-D and the crossbar port stay private.
+    """
+
+    _private = ("crossbar",)
+
+    def __init__(self, cfg: SystemConfig,
+                 shared_llc: CacheLevel = None,
+                 shared_dram: MemoryControllers = None) -> None:
+        super().__init__(cfg, cfg.tlb, cfg.l1d, "L1-D")
+        self.llc = (shared_llc if shared_llc is not None
+                    else CacheLevel(cfg.llc, "LLC"))
+        self.crossbar = Crossbar(cfg.interconnect_cycles)
+        self.dram = (shared_dram if shared_dram is not None
+                     else MemoryControllers(cfg.dram, cfg.freq_ghz,
+                                            cfg.llc.block_bytes))
+        self.stats.llc = self.llc.stats
+
+    def _miss(self, block: int, miss_start: float,
+              tlb_stall: float) -> AccessResult:
+        # Crossbar, the LLC (block sizes match by config invariant), back.
+        crossbar = self.crossbar
+        data, level = llc_fetch(self, block, crossbar.traverse(miss_start))
+        fill_time = crossbar.traverse(data)
+        self.l1d.finish_miss(block, fill_time)
+        return access_result((fill_time, tlb_stall, level))

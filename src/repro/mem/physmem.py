@@ -13,10 +13,16 @@ Address 0 is reserved as the NULL pointer; the first mapped byte is at
 
 from __future__ import annotations
 
+from struct import Struct
+
 from ..errors import AlignmentError, SegmentationFault
 
 NULL_PTR = 0
 BASE_ADDRESS = 0x1_0000
+
+#: Width -> ``unpack_from`` of its unsigned little-endian format.
+_UNPACK = {size: Struct("<" + code).unpack_from
+           for size, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))}
 
 
 class PhysicalMemory:
@@ -86,6 +92,12 @@ class PhysicalMemory:
 
     def read(self, addr: int, size: int) -> int:
         """Read an unsigned little-endian integer of ``size`` bytes."""
+        # A valid word is one unpack; the general path raises any error.
+        unpack = _UNPACK.get(size)
+        if unpack is not None and addr and not addr % size:
+            offset = addr - self._base
+            if 0 <= offset <= self._brk - self._base - size:
+                return unpack(self._store, offset)[0]
         offset = self._offset(addr, size)
         return int.from_bytes(self._store[offset:offset + size], "little")
 

@@ -23,11 +23,8 @@ absent.
 from __future__ import annotations
 
 from ..config import CacheConfig, SystemConfig, TlbConfig
-from .cache import CacheLevel
 from .dram import DramBankPorts
-from .hierarchy import AccessResult
-from .stats import MemoryStats
-from .tlb import Tlb
+from .hierarchy import AccessResult, MemoryPath, access_result
 from . import warm
 
 #: The per-vault scratch buffer next to the PIM walkers: effectively the
@@ -45,88 +42,42 @@ PIM_TLB = TlbConfig(entries=64, page_bytes=64 * 1024, in_flight=2,
                     miss_latency_cycles=35)
 
 
-class PimBankMemory:
+class PimBankMemory(MemoryPath):
     """Memory path for bank-side walkers: buffer -> DRAM bank, in place.
 
     Loads and pointer chases never leave the device.  Stores are the
     result-return path: the produced tuple travels back across the host
     interconnect, so their completion time adds the configured
     ``interconnect_cycles`` on top of the bank-side write.
+
+    Warming at the ``llc`` level warms only the TLB: the data's home *is*
+    the bank array, so there is no larger cache to pre-fill — the paper's
+    warmed-checkpoint discipline degenerates to warm translations.
     """
 
+    #: No LLC or crossbar: the bank ports publish as the path's DRAM.
+    _shared = (("banks", "dram"),)
+
     def __init__(self, cfg: SystemConfig) -> None:
-        self.cfg = cfg
-        self.tlb = Tlb(PIM_TLB)
-        self.l1d = CacheLevel(PIM_BUFFER, "pim-buffer")
+        super().__init__(cfg, PIM_TLB, PIM_BUFFER, "pim-buffer")
         self.banks = DramBankPorts(cfg.pim, cfg.freq_ghz)
-        self.stats = MemoryStats()
-        self.stats.l1d = self.l1d.stats
-        self.stats.tlb = self.tlb.stats
-
-    # -- timed paths -----------------------------------------------------
-
-    def load(self, addr: int, now: float) -> AccessResult:
-        """A demand load on the bank-side path."""
-        self.stats.loads += 1
-        return self._access(addr, now)
 
     def store(self, addr: int, now: float) -> AccessResult:
         """A store on the bank-side path: the written tuple returns to the
         host over the interconnect, which the completion time charges."""
-        self.stats.stores += 1
-        result = self._access(addr, now)
-        return AccessResult(result.complete + self.cfg.interconnect_cycles,
-                            result.tlb_stall, result.level)
+        self.stats.stores.value += 1
+        complete, tlb_stall, level = self._access(addr, now)
+        return access_result((complete + self.cfg.interconnect_cycles,
+                              tlb_stall, level))
 
-    def touch(self, addr: int, now: float) -> AccessResult:
-        """A non-binding prefetch on the bank-side path."""
-        self.l1d.stats.prefetches += 1
-        return self._access(addr, now)
-
-    def _access(self, addr: int, now: float) -> AccessResult:
-        translated, tlb_stall = self.tlb.translate(addr, now)
-        block = self.l1d.block_of(addr)
-        port_time = self.l1d.port_grant(translated)
-        outcome = self.l1d.probe(block, port_time)
-        if outcome is None:
-            return AccessResult(port_time + PIM_BUFFER.latency_cycles,
-                                tlb_stall, "L1")
-        if outcome >= 0:
-            return AccessResult(
-                max(outcome, port_time + PIM_BUFFER.latency_cycles),
-                tlb_stall, "L1")
-        miss_start = self.l1d.begin_miss(port_time)
+    def _miss(self, block: int, miss_start: float,
+              tlb_stall: float) -> AccessResult:
         # Inside the device: the bank array is one row access away.
         data = self.banks.access(block, miss_start)
-        self.stats.dram_blocks += 1
+        self.stats.dram_blocks.value += 1
         self.l1d.finish_miss(block, data)
-        return AccessResult(data, tlb_stall, "DRAM")
-
-    # -- functional warm-up ------------------------------------------------
-
-    def warm_block(self, addr: int, level: str = "llc") -> None:
-        """Install one translation (and optionally a buffer block) with no
-        timing effect.
-
-        The ``llc`` level warms only the TLB: the data's home *is* the
-        bank array, so there is no larger cache to pre-fill — the paper's
-        warmed-checkpoint discipline degenerates to warm translations.
-        """
-        warm.warm_range(self, addr, 1, level, 1)
+        return access_result((data, tlb_stall, "DRAM"))
 
     def warm_range(self, base: int, size: int, level: str = "llc") -> None:
-        """Warm every block of a byte range."""
+        """Warm every block of a byte range, in buffer-block steps."""
         warm.warm_range(self, base, size, level, PIM_BUFFER.block_bytes)
-
-    # -- observability -----------------------------------------------------
-
-    def register_into(self, registry, prefix: str = "mem",
-                      include_shared: bool = True) -> None:
-        """Publish every component's counters under ``prefix`` (same
-        protocol as :meth:`MemoryHierarchy.register_into`; there is no
-        LLC or crossbar on this path)."""
-        self.stats.register_into(registry, prefix)
-        self.tlb.register_into(registry, f"{prefix}.tlb")
-        self.l1d.register_into(registry, f"{prefix}.l1d")
-        if include_shared:
-            self.banks.register_into(registry, f"{prefix}.dram")

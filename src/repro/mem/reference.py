@@ -15,8 +15,9 @@ victim matches; the benchmarks in :mod:`repro.bench` use it (through
 baseline.
 
 :func:`use_reference_arrays` swaps the reference structures into a built
-:class:`~repro.mem.hierarchy.MemoryHierarchy`, giving a full-stack
-reference memory system for end-to-end equivalence runs.
+memory of any placement and routes it through :func:`composed_access`,
+giving a full-stack reference memory system for end-to-end equivalence
+runs (``tests/mem/test_differential_hierarchy.py``).
 
 Do not "improve" this module: its value is being obviously correct,
 not fast.
@@ -24,11 +25,12 @@ not fast.
 
 from __future__ import annotations
 
+from types import MethodType
 from typing import Dict, List, Optional, Sequence
 
 from ..config import CacheConfig
 from ..sim.resources import OccupancyPool, PipelinedResource
-from .hierarchy import MemoryHierarchy
+from .hierarchy import AccessResult, MemoryPath
 from .stats import LevelStats
 
 
@@ -165,16 +167,38 @@ class ReferenceCacheLevel:
         self.mshrs.register_into(registry, f"{prefix}.mshrs")
 
 
-def use_reference_arrays(hierarchy: MemoryHierarchy) -> MemoryHierarchy:
-    """Swap every cache level for the naive reference implementation.
+def composed_access(self, addr: int, now: float) -> AccessResult:
+    """The front half as one call per component (the flat
+    :meth:`~repro.mem.hierarchy.MemoryPath._access`'s oracle)."""
+    translated, tlb_stall = self.tlb.translate(addr, now)
+    l1d = self.l1d
+    block = addr >> l1d.array.block_bits
+    port_time = l1d.port_grant(translated)
+    outcome = l1d.probe(block, port_time)
+    if outcome is None:  # L1 hit
+        return AccessResult(port_time + l1d.cfg.latency_cycles,
+                            tlb_stall, "L1")
+    if outcome >= 0:  # combined with an in-flight miss
+        return AccessResult(max(outcome, port_time + l1d.cfg.latency_cycles),
+                            tlb_stall, "L1")
+    return self._miss(block, l1d.begin_miss(port_time), tlb_stall)
 
-    Must run before any accesses or warm-up touch the hierarchy (the
-    arrays start empty).  Returns the hierarchy for chaining.
+
+def use_reference_arrays(memory: MemoryPath) -> MemoryPath:
+    """Swap every cache level for the naive reference implementation and
+    route accesses through :func:`composed_access`.
+
+    Works on every placement (the PIM path has no LLC to swap).  Must run
+    before any accesses or warm-up touch the memory (the arrays start
+    empty).  Returns the memory for chaining.
     """
-    hierarchy.l1d = ReferenceCacheLevel(hierarchy.l1d.cfg, hierarchy.l1d.name)
-    hierarchy.llc = ReferenceCacheLevel(hierarchy.llc.cfg, hierarchy.llc.name)
-    # The hierarchy's stats views alias its levels' stats; re-alias them to
+    memory.l1d = ReferenceCacheLevel(memory.l1d.cfg, memory.l1d.name)
+    # The memory's stats views alias its levels' stats; re-alias them to
     # the fresh reference levels.
-    hierarchy.stats.l1d = hierarchy.l1d.stats
-    hierarchy.stats.llc = hierarchy.llc.stats
-    return hierarchy
+    memory.stats.l1d = memory.l1d.stats
+    llc = getattr(memory, "llc", None)
+    if llc is not None:
+        memory.llc = ReferenceCacheLevel(llc.cfg, llc.name)
+        memory.stats.llc = memory.llc.stats
+    memory._access = MethodType(composed_access, memory)
+    return memory

@@ -12,10 +12,12 @@ The subclass exists so the PIM differential suites and the
 future PIM-specific unit change *must* come with its own naive twin
 here or the differential wall fails.
 
-:func:`use_reference_pim_memory` is the bank-side analogue of
-:func:`~repro.mem.reference.use_reference_arrays`: it swaps the PIM
-scratch buffer for the recency-list :class:`ReferenceCacheLevel` (a
-:class:`~repro.mem.pimside.PimBankMemory` has no LLC to swap).
+:func:`use_reference_pim_memory` is
+:func:`~repro.mem.reference.use_reference_arrays` on the bank side: it
+swaps the PIM scratch buffer for the recency-list
+:class:`~repro.mem.reference.ReferenceCacheLevel` (a
+:class:`~repro.mem.pimside.PimBankMemory` has no LLC to swap) and runs
+the composed front half.
 
 Do not "improve" these: their value is being obviously correct, not fast.
 """
@@ -23,7 +25,7 @@ Do not "improve" these: their value is being obviously correct, not fast.
 from __future__ import annotations
 
 from ..mem.pimside import PimBankMemory
-from ..mem.reference import ReferenceCacheLevel
+from ..mem.reference import use_reference_arrays
 from ..widx.reference import ReferenceWidxUnit
 
 
@@ -34,13 +36,10 @@ class ReferencePimUnit(ReferenceWidxUnit):
 
 
 def use_reference_pim_memory(memory: PimBankMemory) -> PimBankMemory:
-    """Swap the PIM scratch buffer for the naive reference implementation.
+    """Swap the PIM scratch buffer for the naive reference implementation
+    and run the composed front half.
 
     Must run before any accesses or warm-up touch the memory (the arrays
     start empty).  Returns the memory for chaining.
     """
-    memory.l1d = ReferenceCacheLevel(memory.l1d.cfg, memory.l1d.name)
-    # The memory's stats view aliases the buffer's stats; re-alias it to
-    # the fresh reference level.
-    memory.stats.l1d = memory.l1d.stats
-    return memory
+    return use_reference_arrays(memory)

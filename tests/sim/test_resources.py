@@ -32,6 +32,20 @@ class TestPipelinedResource:
         assert res.grants == 2
         assert res.busy_cycles == 6.0
 
+    def test_port_prune_forgets_exactly_the_cursor_to_cutoff_cycles(self):
+        res = PipelinedResource(servers=1, service=1.0)
+        for cycle in (5, 70, 900, 30_000, 59_999, 60_000):
+            res.request(float(cycle))
+        # A late request below the next cursor survives the next prune.
+        res._prune_cursor = 10
+        res.request(6.0)
+        res.request(200_000.0)   # cutoff 190,000: prunes [10, 190,000)
+        assert res._prune_cursor == 190_000
+        assert sorted(res._cycle_counts) == [5, 6, 200_000]
+        # Cycle 70 is free again; cycle 5 still holds its grant.
+        assert res.request(70.0) == 70.0
+        assert res.request(5.0) == 7.0
+
     def test_validation(self):
         with pytest.raises(SimulationError):
             PipelinedResource(servers=0, service=1.0)
