@@ -117,14 +117,16 @@ class MemoryPath:
         # prune test can only pass when the watermark moves.
         l1d = self.l1d
         ports = l1d.ports
+        counts = ports._cycle_counts
         if ready > ports._max_now:
             ports._max_now = ready
             cutoff = int(ready - ports._horizon)
             if ports._prune_cursor < cutoff - 50_000:
-                ports._prune_cycles(cutoff)
+                for old in range(ports._prune_cursor, cutoff):
+                    counts.pop(old, None)
+                ports._prune_cursor = cutoff
         ports.grants.value += 1
         ports.busy_cycles.value += 1.0
-        counts = ports._cycle_counts
         cycle = int(ready)
         if cycle < ready:
             cycle += 1

@@ -101,20 +101,10 @@ class PipelinedResource:
         # Amortized pruning of cycles no request can reach anymore.
         cutoff = int(self._max_now - self._horizon)
         if self._prune_cursor < cutoff - 50_000:
-            self._prune_cycles(cutoff)
+            for old in range(self._prune_cursor, cutoff):
+                counts.pop(old, None)
+            self._prune_cursor = cutoff
         return float(cycle)
-
-    def _prune_cycles(self, cutoff: int) -> None:
-        """Forget the per-cycle counts of ``[_prune_cursor, cutoff)``.
-
-        Scans the map's keys rather than each of the range's 50,000-plus
-        cycles; the same keys go.  The flat access path of
-        :mod:`repro.mem.hierarchy` calls this too."""
-        cursor = self._prune_cursor
-        counts = self._cycle_counts
-        for old in [cycle for cycle in counts if cursor <= cycle < cutoff]:
-            del counts[old]
-        self._prune_cursor = cutoff
 
     # -- controllers: gap-filling busy intervals ------------------------
 
