@@ -169,10 +169,6 @@ class MemoryPath:
         """Install the block (and its translation) with no timing effect."""
         warm.warm_range(self, addr, 1, level, 1)
 
-    def warm_range(self, base: int, size: int, level: str = "llc") -> None:
-        """Warm every block of ``[base, base+size)``."""
-        warm.warm_range(self, base, size, level, self.cfg.l1d.block_bytes)
-
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
@@ -244,3 +240,7 @@ class MemoryHierarchy(MemoryPath):
         fill_time = crossbar.traverse(data)
         self.l1d.finish_miss(block, fill_time)
         return access_result((fill_time, tlb_stall, level))
+
+    def warm_range(self, base: int, size: int, level: str = "llc") -> None:
+        """Warm every block of ``[base, base+size)``."""
+        warm.warm_range(self, base, size, level, self.cfg.l1d.block_bytes)

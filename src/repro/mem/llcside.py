@@ -19,6 +19,7 @@ from ..config import CacheConfig, SystemConfig, TlbConfig
 from .cache import CacheLevel
 from .dram import MemoryControllers
 from .hierarchy import AccessResult, MemoryPath, access_result, llc_fetch
+from . import warm
 
 #: The dedicated buffer next to the LLC-side Widx: small and fast, with a
 #: generous MSHR pool (the design is not sharing a core's ten).
@@ -53,3 +54,7 @@ class LlcSideMemory(MemoryPath):
         data, level = llc_fetch(self, block, miss_start)
         self.l1d.finish_miss(block, data)
         return access_result((data, tlb_stall, level))
+
+    def warm_range(self, base: int, size: int, level: str = "llc") -> None:
+        """Warm every block of a byte range."""
+        warm.warm_range(self, base, size, level, self.cfg.l1d.block_bytes)
