@@ -60,7 +60,9 @@ class MemoryPath:
     Subclasses supply ``_miss(block, miss_start, tlb_stall)``, which
     services a fresh buffer miss whose MSHR is held from ``miss_start``
     and ends with ``l1d.finish_miss``, and name the components behind the
-    buffer that :meth:`register_into` publishes.
+    buffer that :meth:`register_into` publishes.  Each defines its own
+    ``warm_range``: ``e2ebench`` times warm-up by wrapping that method
+    on each class.
     """
 
     #: Private components behind the buffer, published under their names.

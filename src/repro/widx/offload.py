@@ -313,7 +313,7 @@ def offload_tree_search(tree, probe_column: Column, *,
     (no hashing) and the walkers run the generated tree-descent function.
     Only the ``shared`` and ``private`` organizations apply — trees have no
     hashing stage to couple.  ``watchdog`` budgets the run as in
-    :func:`offload_probe`; every ordered driver takes one.
+    :func:`offload_probe`; every ordered offload takes one.
     """
     from ..db.btree import BPlusTree
     from .programs import (tree_dispatcher_program, tree_walker_program)

@@ -78,7 +78,7 @@ PINNED_SERVE = {
 
 #: CRC-32 of :func:`result_text` per fig-indexes Widx offload (the hash
 #: row is the Small kernel).  The btree row's snapshot was ``None`` until
-#: the B+-tree drivers shared the ordered outcome tail; with ``stats``
+#: the B+-tree offloads shared the ordered outcome tail; with ``stats``
 #: read as ``null`` its text still hashes to the old pin, 0x6d5aa1c5.
 PINNED_WIDX = {
     "hash": 0x41850b69,

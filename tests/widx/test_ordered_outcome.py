@@ -1,11 +1,11 @@
-"""Every ordered-index Widx driver returns a complete outcome.
+"""Every ordered-index Widx offload returns a complete outcome.
 
-All seven ordered drivers (B+-tree search and ranges, trie search and
+All seven ordered offloads (B+-tree search and ranges, trie search and
 ranges, wormhole search and ranges, batched B+-tree) build their outcome
 through one shared tail, so each carries the registry snapshot the
 harness merges into ``--stats-json`` and the ledger's traced event count.
 The snapshot's ``sim.engine.dispatched`` must equal the dispatch count of
-the engine that ran the offload — a driver that skipped the snapshot
+the engine that ran it — an offload that skipped the snapshot
 would silently undercount every event it simulated.
 """
 
@@ -50,7 +50,7 @@ def _ranges(keys):
     return [(keys[10], keys[30]), (keys[50], keys[52]), (keys[90], keys[119])]
 
 
-DRIVERS = {
+OFFLOADS = {
     "tree-search": (BPlusTree, offload_tree_search, "search"),
     "tree-ranges": (BPlusTree, offload_tree_ranges, "ranges"),
     "trie-search": (MlpTrie, offload_trie_search, "search"),
@@ -61,7 +61,7 @@ DRIVERS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(DRIVERS))
+@pytest.mark.parametrize("name", sorted(OFFLOADS))
 def test_ordered_outcome_carries_engine_snapshot(space, monkeypatch, name):
     engines = []
 
@@ -71,7 +71,7 @@ def test_ordered_outcome_carries_engine_snapshot(space, monkeypatch, name):
             engines.append(self)
 
     monkeypatch.setattr(machine_module, "Engine", RecordingEngine)
-    cls, offload, kind = DRIVERS[name]
+    cls, offload, kind = OFFLOADS[name]
     index, keys = _build(space, cls)
     argument = _column(space, keys) if kind == "search" else _ranges(keys)
     outcome = offload(index, argument,
