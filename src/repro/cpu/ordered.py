@@ -403,20 +403,14 @@ def measure_ordered_indexing(index, probe_keys: Column, *,
                              measure_probes: Optional[int] = None,
                              batch: int = 4,
                              batch_size: int = 128,
-                             warm_index: bool = True,
-                             bulk: bool = False) -> CoreTimingResult:
+                             warm_index: bool = True) -> CoreTimingResult:
     """Run an ordered-index probe loop on a baseline core model.
 
-    Mirrors :func:`repro.cpu.timing.measure_indexing`; ``bulk`` is
-    accepted for interface parity but always runs the event-driven path —
-    ordered traces interleave variable-length dependent chains that the
-    array replay cannot schedule unambiguously, and using one path keeps
-    ``--bulk`` output bit-identical by construction.
+    Mirrors :func:`repro.cpu.timing.measure_indexing`.
 
     ``warmup_probes``/``measure_probes`` count probes (tuples), not
     traces: for the batched class they are rounded down to whole batches.
     """
-    del bulk  # interface parity only; see docstring
     memory = MemoryHierarchy(config)
     if warm_index:
         warm_ordered_index(memory, index)

@@ -62,8 +62,7 @@ def measure_indexing(index: HashIndex, probe_keys: Column, *,
                      measure_probes: Optional[int] = None,
                      rows: Optional[Sequence[int]] = None,
                      batch_size: int = 128,
-                     warm_index: bool = True,
-                     bulk: bool = False) -> CoreTimingResult:
+                     warm_index: bool = True) -> CoreTimingResult:
     """Run the probe loop on a baseline core model; return cycles/tuple.
 
     ``warm_index`` mimics the paper's warmed-cache checkpoints: the index
@@ -71,22 +70,7 @@ def measure_indexing(index: HashIndex, probe_keys: Column, *,
     column) is functionally installed in the LLC before timing starts, so
     compulsory misses do not masquerade as capacity misses.  Indexes larger
     than the LLC still miss, via LRU, exactly as in steady state.
-
-    ``bulk=True`` routes the run through the array-program replay
-    (:mod:`repro.sim.bulk`), which produces bit-identical results and
-    falls back to this event-driven path if the schedule cannot be
-    replayed unambiguously.
     """
-    if bulk:
-        from ..sim.bulk import BulkFallback, bulk_measure_indexing
-        try:
-            return bulk_measure_indexing(
-                index, probe_keys, core=core, config=config,
-                warmup_probes=warmup_probes, measure_probes=measure_probes,
-                rows=rows, batch_size=batch_size, warm_index=warm_index)
-        except BulkFallback:
-            pass  # a contended schedule: replay on the DES below
-
     memory = MemoryHierarchy(config)
     if warm_index:
         warm_hash_index(memory, index)

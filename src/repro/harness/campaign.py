@@ -308,8 +308,7 @@ def _measure_point(cache: MeasurementCache, point: MeasurementPoint):
 def _group_worker(conn, config: SystemConfig, runs: RunSettings,
                   points: Sequence[MeasurementPoint],
                   chaos: Optional[ChaosSpec],
-                  attempts: Sequence[int],
-                  bulk: bool = False) -> None:
+                  attempts: Sequence[int]) -> None:
     """Worker process: measure points, streaming results incrementally.
 
     Protocol (one tuple per :meth:`Connection.send`):
@@ -325,7 +324,7 @@ def _group_worker(conn, config: SystemConfig, runs: RunSettings,
     Module-level so it pickles under every multiprocessing start method.
     """
     try:
-        cache = MeasurementCache(config=config, runs=runs, bulk=bulk)
+        cache = MeasurementCache(config=config, runs=runs)
         for index, point in enumerate(points):
             key = _point_chaos_key(point)
             inject_worker_faults(chaos, key, attempts[index])
@@ -495,8 +494,7 @@ class Campaign:
             target=_group_worker,
             args=(child_conn, self.cache.config, self.cache.runs,
                   list(points), self.chaos,
-                  [attempts[point] for point in points],
-                  self.cache.bulk),
+                  [attempts[point] for point in points]),
             daemon=True)
         process.start()
         child_conn.close()

@@ -137,11 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="add the level-wise batched B+-tree backend as "
                              "an extra column in fig-serve; the fig-indexes "
                              "sweep runs it regardless")
-    parser.add_argument("--bulk", action="store_true",
-                        help="evaluate independent probes and requests as "
-                             "array programs instead of event streams "
-                             "(bit-identical results; contended schedules "
-                             "automatically fall back to the event engine)")
     parser.add_argument("--serve-policy", default="fifo", metavar="SPEC",
                         dest="serve_policy",
                         help="scheduling policy for the fig-serve sweep: "
@@ -254,7 +249,6 @@ def run_experiments(names: List[str], settings: RunSettings,
                     stats_json: Optional[str] = None,
                     trace: Optional[str] = None,
                     serve_policy: str = "fifo",
-                    bulk: bool = False,
                     serve_slo: Optional[float] = None,
                     serve_controller: Optional[str] = None,
                     trails: Optional[int] = None,
@@ -285,7 +279,7 @@ def run_experiments(names: List[str], settings: RunSettings,
     """
     if chaos is not None and store is not None:
         store = ChaosStore(store, chaos)
-    cache = MeasurementCache(runs=settings, store=store, bulk=bulk)
+    cache = MeasurementCache(runs=settings, store=store)
     points = campaign_points(names, pim=pim, batched=batched)
     failures = []
     if points:
@@ -300,16 +294,13 @@ def run_experiments(names: List[str], settings: RunSettings,
         _needs, runner, _points = EXPERIMENTS[name]
         started = time.time()
         try:
-            # The serving sweeps are the drivers with tunables beyond
-            # the cache: scheduling policy, SLO, and controller.
+            # The serving sweep is the driver with tunables beyond the
+            # cache: scheduling policy, SLO, and controller.
             if name == "serve":
-                report = runner(cache, serve_policy, bulk=bulk,
-                                slo=serve_slo,
+                report = runner(cache, serve_policy, slo=serve_slo,
                                 controller_spec=serve_controller,
                                 include_pim=pim,
                                 include_batched=batched)
-            elif name == "resilience":
-                report = runner(cache, bulk=bulk, include_pim=pim)
             elif pim and name in PIM_AWARE:
                 report = runner(cache, include_pim=True)
             else:
@@ -487,7 +478,7 @@ def main(argv: Optional[List[str]] = None, out=sys.stdout) -> int:
         run_experiments(names, settings, out=out, store=store, jobs=jobs,
                         policy=policy, chaos=chaos,
                         stats_json=args.stats_json, trace=args.trace,
-                        serve_policy=args.serve_policy, bulk=args.bulk,
+                        serve_policy=args.serve_policy,
                         serve_slo=args.serve_slo,
                         serve_controller=args.serve_controller,
                         trails=args.trails, pim=args.pim,

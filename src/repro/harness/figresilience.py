@@ -67,7 +67,6 @@ def points_fig_resilience(include_pim: bool = False) -> List[MeasurementPoint]:
 
 def run_fig_resilience(cache: MeasurementCache,
                        policy_spec: str = f"shed:{SHED_DEPTH}",
-                       bulk: bool = False,
                        include_pim: bool = False) -> Report:
     """The resilience figure: goodput and shed fraction per backend
     across a walker-fault-rate x offered-load grid."""
@@ -96,7 +95,7 @@ def run_fig_resilience(cache: MeasurementCache,
                 result = run_open_loop(
                     model, rate=fraction * saturation,
                     num_requests=SWEEP_REQUESTS, policy=policy, cores=cores,
-                    seed=cache.runs.seed, bulk=bulk, resilience=resilience)
+                    seed=cache.runs.seed, resilience=resilience)
                 report.add_row(label, rate, fraction, result.offered,
                                round(result.goodput, 4),
                                round(result.shed_fraction, 4),

@@ -118,16 +118,12 @@ def service_model(cache: MeasurementCache, label: str, backend: str,
 def sweep_backend(cache: MeasurementCache, model: ServiceModel,
                   policy_spec: str,
                   load_fractions: Iterable[float] = LOAD_FRACTIONS,
-                  bulk: bool = False,
                   resilience: Optional[ResilienceConfig] = None
                   ) -> List[ServeResult]:
     """Sweep offered load for one backend; one ServeResult per level.
 
-    ``bulk=True`` runs each level through the array replay
-    (:mod:`repro.serve.bulk`) — bit-identical, with automatic fallback
-    to the discrete-event path on ambiguous schedules.  ``resilience``
-    routes each level through the resilient serving path (SLO
-    accounting, degraded-mode controller).
+    ``resilience`` routes each level through the resilient serving path
+    (SLO accounting, degraded-mode controller).
     """
     cores = cache.config.num_cores
     saturation = cores * model.saturation_rate()
@@ -136,14 +132,13 @@ def sweep_backend(cache: MeasurementCache, model: ServiceModel,
         policy = parse_policy(policy_spec)  # fresh instance per run
         results.append(run_open_loop(
             model, rate=fraction * saturation, num_requests=SWEEP_REQUESTS,
-            policy=policy, cores=cores, seed=cache.runs.seed, bulk=bulk,
+            policy=policy, cores=cores, seed=cache.runs.seed,
             resilience=resilience))
     return results
 
 
 def run_fig_serve(cache: MeasurementCache,
                   policy_spec: str = "fifo",
-                  bulk: bool = False,
                   slo: Optional[float] = None,
                   controller_spec: Optional[str] = None,
                   include_pim: bool = False,
@@ -186,7 +181,7 @@ def run_fig_serve(cache: MeasurementCache,
         model = service_model(cache, label, backend, walkers, mode)
         cores = cache.config.num_cores
         saturations[label] = cores * model.saturation_rate()
-        for result in sweep_backend(cache, model, policy_spec, bulk=bulk,
+        for result in sweep_backend(cache, model, policy_spec,
                                     resilience=resilience):
             row = [label, round(result.offered / saturations[label], 2),
                    result.offered, result.achieved,

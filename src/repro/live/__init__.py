@@ -1,7 +1,7 @@
 """repro.live: the wall-clock serving front-end.
 
-The serving layer's third driver (after the discrete-event and
-``--bulk`` paths): the same transport-agnostic
+The serving layer's second driver (after the discrete-event path):
+the same transport-agnostic
 :class:`~repro.serve.core.ServingCore` state machine, driven by real
 time and real request ingestion instead of a simulated schedule.
 

@@ -1,8 +1,8 @@
 """The wall-clock serving driver: a poll-able state machine over the core.
 
-:class:`LiveService` is the third driver of the transport-agnostic
-:class:`~repro.serve.core.ServingCore` (after the discrete-event and
-``--bulk`` paths).  It is deliberately *synchronous*: callers feed it
+:class:`LiveService` is the second driver of the transport-agnostic
+:class:`~repro.serve.core.ServingCore` (after the discrete-event path).
+It is deliberately *synchronous*: callers feed it
 arrivals via :meth:`offer` and time via :meth:`advance`, and it keeps an
 internal timed-event heap (batch completions, deadline-policy holds,
 controller ticks) exactly like a tiny discrete-event engine — except

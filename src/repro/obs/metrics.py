@@ -22,11 +22,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import SimulationError
 
-try:  # bulk-mode replay vectorizes bucket counting when numpy is present
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
 Number = Union[int, float]
 
 
@@ -316,57 +311,6 @@ class Distribution:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-
-    def record_many(self, values: Sequence[Number]) -> None:
-        """Add many observations, bit-identically to a :meth:`record` loop.
-
-        Bucket counts are order-free integer increments and the extrema
-        are order-free comparisons, so both vectorize; the running
-        ``total`` is kept as a sequential left-fold over ``values`` in
-        order, because float addition is not associative.  Falls back to
-        the scalar loop when numpy is unavailable or a value leaves the
-        range where the vectorized bit-length trick is exact (scaled
-        magnitudes at or above ``2**53``, non-finite values).
-        """
-        n = len(values)
-        if n == 0:
-            return
-        arr = None
-        if _np is not None:
-            arr = _np.asarray(values, dtype=_np.float64)
-            if not (bool(_np.isfinite(arr).all())
-                    and float(_np.abs(arr).max()) * self._FP_SCALE < 2.0 ** 53):
-                arr = None
-        if arr is None:
-            for value in values:
-                self.record(value)
-            return
-        scaled = (arr * self._FP_SCALE).astype(_np.int64)
-        # bit_length, vectorized: the int64 -> float64 conversion is
-        # exact below 2**53 (guarded above), and frexp's exponent of an
-        # exactly represented positive integer is its bit length.
-        exponent = _np.frexp(scaled.astype(_np.float64))[1]
-        shift = exponent - 1 - self.SUB_BITS
-        clamped = _np.where(shift > 0, shift, 0)
-        buckets = _np.where(shift > 0,
-                            (scaled >> clamped) + (clamped << self.SUB_BITS),
-                            scaled)
-        buckets = _np.where(scaled > 0, buckets, 0)
-        ids, reps = _np.unique(buckets, return_counts=True)
-        counts = self.counts
-        for bucket, repeat in zip(ids.tolist(), reps.tolist()):
-            counts[bucket] = counts.get(bucket, 0) + repeat
-        self.count += n
-        total = self.total
-        for value in arr.tolist():  # float adds are order-sensitive
-            total += value
-        self.total = total
-        low = float(arr.min())
-        high = float(arr.max())
-        if self.min is None or low < self.min:
-            self.min = low
-        if self.max is None or high > self.max:
-            self.max = high
 
     @property
     def mean(self) -> float:

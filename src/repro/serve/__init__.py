@@ -24,8 +24,7 @@ handed over in bulk?  Six pieces:
   core, with end-to-end latency recorded into an observability
   :class:`~repro.obs.metrics.Distribution` for p50/p95/p99 extraction,
   and the opt-in resilient path tying the above together.  The
-  wall-clock driver is :mod:`repro.live`; the vectorized one is
-  :mod:`repro.serve.bulk`.
+  wall-clock driver is :mod:`repro.live`.
 
 The ``fig-serve`` and ``fig-resilience`` CLI verbs
 (:mod:`repro.harness.figserve`, :mod:`repro.harness.figresilience`)

@@ -7,21 +7,18 @@ machine, :class:`ServingCore`.  The core never schedules and never
 sleeps: every method takes explicit ``now`` timestamps, so any driver
 that can produce a monotonic time can run it.
 
-Three drivers exist:
+Two drivers exist:
 
 * the discrete-event path (:mod:`repro.serve.simulate`) feeds it
   simulated cycles from the event engine — the figure-rendering path,
   pinned byte-for-byte by the committed golden reports;
-* the vectorized ``--bulk`` replay (:mod:`repro.serve.bulk`) shares its
-  validation and result types and falls back to the DES driver on any
-  contended schedule;
 * the wall-clock path (:mod:`repro.live`) maps ``time.monotonic`` onto
   cycles and drives the same state machine from asyncio.
 
 Because the core is pure policy over timestamps, proving the extraction
 behavior-preserving reduces to proving the DES driver emits the same
-event schedule — which the golden fig-serve report and the bulk/DES
-differential suites check bit-for-bit.
+event schedule — which the golden fig-serve report checks
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -150,7 +147,7 @@ class ServeResult:
 
 def validate_run(requests: Sequence[Request], model: ServiceModel,
                  cores: int) -> None:
-    """Shared admission checks for every serving driver (DES, bulk, live)."""
+    """Shared admission checks for every serving driver (DES, live)."""
     if cores < 1:
         raise ServeError(f"need at least one core, got {cores}")
     if not requests:

@@ -51,8 +51,6 @@ __all__ = [
     "simulate_service",
 ]
 
-_validate_run = validate_run  # the bulk driver's historical import name
-
 
 def _source(engine: Engine, requests: Sequence[Request],
             queues: List[BoundedQueue]):
@@ -113,8 +111,8 @@ def _resilient_server(engine: Engine, queue: BoundedQueue,
     """The per-core server under deadlines, faults, and policy swaps.
 
     Matches :func:`_server` yield-for-yield when no deadline filters and
-    no death interrupts a batch — the clean-path bit-parity the bulk
-    replay and the fault-rate-zero acceptance check rely on.
+    no death interrupts a batch — the clean-path bit-parity the
+    fault-rate-zero acceptance check relies on.
     """
     drop_doomed = core.drop_doomed
     cycles_for = capacity.cycles_for
@@ -161,7 +159,6 @@ def simulate_service(requests: Sequence[Request], model: ServiceModel, *,
                      policy: SchedulingPolicy, cores: int,
                      offered: float = 0.0,
                      registry: Optional[StatsRegistry] = None,
-                     bulk: bool = False,
                      resilience: Optional[ResilienceConfig] = None,
                      queue_depth: Optional[int] = None) -> ServeResult:
     """Serve a fixed request stream on ``cores`` identical servers.
@@ -170,11 +167,6 @@ def simulate_service(requests: Sequence[Request], model: ServiceModel, *,
     :func:`~repro.serve.arrivals.merge_requests`).  The run is fully
     deterministic: one engine, deterministic dispatch, no randomness
     outside the arrival times baked into ``requests``.
-
-    ``bulk=True`` routes the run through the vectorized array replay
-    (:mod:`repro.serve.bulk`), which produces bit-identical results and
-    falls back to this discrete-event path whenever event ordering is
-    ambiguous (see :class:`~repro.sim.bulk.BulkFallback`).
 
     ``resilience`` and ``queue_depth`` (and ``shed:``/``timeout:``
     policy wrappers) switch the run onto the resilient source/server
@@ -187,17 +179,6 @@ def simulate_service(requests: Sequence[Request], model: ServiceModel, *,
                  or admission_depth(policy) is not None
                  or request_timeout(policy) is not None
                  or (resilience is not None and resilience.active))
-    if bulk:
-        from ..sim.bulk import BulkFallback
-        from .bulk import simulate_service_bulk
-        try:
-            return simulate_service_bulk(requests, model, policy=policy,
-                                         cores=cores, offered=offered,
-                                         registry=registry,
-                                         resilience=resilience,
-                                         queue_depth=queue_depth)
-        except BulkFallback:
-            pass  # a contended/tied schedule: replay on the DES below
     if resilient:
         return _simulate_resilient(requests, model, policy=policy,
                                    cores=cores, offered=offered,
@@ -333,12 +314,12 @@ def build_requests(rate: float, num_requests: int, keys_per_request: int, *,
 def run_open_loop(model: ServiceModel, *, rate: float, num_requests: int,
                   policy: SchedulingPolicy, cores: int,
                   clients: int = 1, seed: int = 0,
-                  arrival: str = "poisson", bulk: bool = False,
+                  arrival: str = "poisson",
                   resilience: Optional[ResilienceConfig] = None,
                   queue_depth: Optional[int] = None) -> ServeResult:
     """Convenience: build the arrival stream and serve it."""
     requests = build_requests(rate, num_requests, model.keys_per_request,
                               clients=clients, seed=seed, arrival=arrival)
     return simulate_service(requests, model, policy=policy, cores=cores,
-                            offered=rate, bulk=bulk, resilience=resilience,
+                            offered=rate, resilience=resilience,
                             queue_depth=queue_depth)

@@ -7,13 +7,9 @@ generates the three Widx programs for the index's schema, configures a
 emitted matches against the functional reference — the paper's atomic
 all-or-nothing offload, with the host core idle throughout.
 
-Widx offloads always run on the discrete-event engine, even under the
-harness's ``--bulk`` flag: the walkers *share* the MSHRs, cache ports and
-(in shared mode) the dispatcher queue, so every probe's timing depends on
-its neighbours' — exactly the contended-resource case the array replay in
-:mod:`repro.sim.bulk` is defined to exclude.  Only the independent-probe
-baselines (:func:`repro.cpu.timing.measure_indexing`) and the serving
-sweep (:mod:`repro.serve.bulk`) have uncontended schedules to vectorize.
+Widx offloads run on the discrete-event engine: the walkers *share* the
+MSHRs, cache ports and (in shared mode) the dispatcher queue, so every
+probe's timing depends on its neighbours'.
 """
 
 from __future__ import annotations

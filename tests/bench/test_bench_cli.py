@@ -50,11 +50,12 @@ def test_committed_baseline_fingerprints_match(capsys):
     assert entry["fingerprint"] == result.fingerprint
 
 
-def test_committed_bulk_sweep_fingerprint_matches(capsys):
-    """Same contract for the bulk-mode serve sweep: the benchmark only
-    reports a speedup after proving the array replay bit-identical to
-    the serving DES, and its fingerprint must match the baseline."""
-    result = run_benchmarks(repeats=1, only=["bulk_serve_sweep"])[0]
+def test_committed_serve_resilience_fingerprint_matches(capsys):
+    """Same contract for the serving bench: it only reports a ratio
+    after proving the resilient clean path bit-identical to the plain
+    DES, and its sweep, faulted-sweep and live-replay fingerprints must
+    all match the baseline."""
+    result = run_benchmarks(repeats=1, only=["serve_resilience"])[0]
     baseline = json.load(open("BENCH_sim.json"))
     entry = baseline["benchmarks"][result.name]
     assert entry["fingerprint"] == result.fingerprint

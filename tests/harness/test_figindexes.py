@@ -1,7 +1,7 @@
 """Acceptance tests for the ordered-index zoo figure (fig-indexes).
 
 The headline properties: the report is deterministic and byte-identical
-across serial, parallel, cache-hit and ``--bulk`` campaigns; the new
+across serial, parallel and cache-hit campaigns; the new
 ``"index"`` measurement op rides the campaign's chaos-recovery plumbing
 bit-identically; and the opt-in batched serving column extends fig-serve
 without moving its committed golden.
@@ -154,23 +154,22 @@ def test_batching_beats_the_per_probe_descent_on_the_baselines():
 
 
 # ---------------------------------------------------------------------------
-# bit-identity: serial / parallel / cache-hit / --bulk
+# bit-identity: serial / parallel / cache-hit
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
-def test_cli_serial_parallel_cache_hit_and_bulk_are_bit_identical(tmp_path):
+def test_cli_serial_parallel_and_cache_hit_are_bit_identical(tmp_path):
     """The headline acceptance property for fig-indexes."""
     base = ("--figure", "fig-indexes", "--probes", "400", "--warmup", "100",
             "--cache-dir", str(tmp_path))
     code1, serial = run_cli(*base, "--jobs", "1", "--no-cache")
     code2, parallel = run_cli(*base, "--jobs", "2")
     code3, cached = run_cli(*base, "--jobs", "1")
-    code4, bulk = run_cli(*base, "--jobs", "1", "--bulk")
-    assert code1 == code2 == code3 == code4 == 0
+    assert code1 == code2 == code3 == 0
     assert "15 measured" in parallel
     assert "15 cached, 0 measured" in cached
     assert (report_body(serial) == report_body(parallel)
-            == report_body(cached) == report_body(bulk))
+            == report_body(cached))
 
 
 # ---------------------------------------------------------------------------

@@ -112,16 +112,3 @@ def test_cli_serial_jobs_and_cache_hit_render_bit_identical(tmp_path):
     assert code == 0
     assert report_body(serial) == report_body(jobs) == report_body(hit)
     assert "12 cached, 0 measured" in hit
-
-
-@pytest.mark.slow
-def test_cli_bulk_flag_renders_identically(tmp_path):
-    """Every resilient sweep point declines bulk replay (faults and
-    shedding are contended), so --bulk must fall back bit-identically."""
-    args = ("--figure", "fig-resilience", "--probes", "400",
-            "--warmup", "100")
-    code, plain = run_cli(*args)
-    assert code == 0
-    code, bulk = run_cli(*args, "--bulk")
-    assert code == 0
-    assert report_body(plain) == report_body(bulk)

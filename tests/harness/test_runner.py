@@ -60,6 +60,30 @@ def test_measurement_key_is_stable_and_discriminating():
     assert key != measurement_key(DEFAULT_CONFIG.with_walkers(2), runs, point)
 
 
+#: One point of each measurement kind, with its store key as computed
+#: before the cache lost its bulk-replay switch: persistent caches filled
+#: by earlier trees must keep hitting.
+PINNED_POINT_KEYS = [
+    (("baseline", "kernel", "Small", "ooo"),
+     "3f7094d0381612be23a3a5cd7aaea1817ab9562cd8667e1c40098e8987fd5580"),
+    (("widx", "kernel", "Small", 4, "shared"),
+     "8eed73746f3d01f44e1e11d2625d03ef0d1873d4885f19dee2a9fd45b6ce1043"),
+    (("pim", "kernel", "Small", 4, "shared", 8),
+     "5baa702533e54ac929fc6f4dc362fa92bf0beace4b83dbd7949ef0ae473f2205"),
+    (("index", "ordered", "btree:Small", "ooo", 0, ""),
+     "73a49f63fc7efcc556e6010ebfc5d6780596d9bd8810e7e5f0d1503b226a81e1"),
+    (("serve", "kernel", "Small", "widx", 4, "shared", 16),
+     "b8f3e89c8bb7e383fd7ce3b1b7c956b1c8395b47c9de566f444abb2755a1a102"),
+]
+
+
+@pytest.mark.parametrize("point,expected", PINNED_POINT_KEYS,
+                         ids=[point[0] for point, _ in PINNED_POINT_KEYS])
+def test_point_keys_are_pinned(point, expected):
+    cache = MeasurementCache(runs=RunSettings(probes=400, warmup=100))
+    assert cache.point_key(point) == expected
+
+
 def test_store_backed_cache_survives_process_restart(tmp_path):
     runs = RunSettings(probes=400, warmup=100)
     first = MeasurementCache(runs=runs, store=CacheStore(str(tmp_path)))

@@ -224,43 +224,6 @@ class TestDistribution:
         buckets = {Distribution.bucket_of(i * step) for i in range(1, 257)}
         assert len(buckets) == 256  # every step gets its own bucket
 
-    def test_record_many_matches_a_record_loop(self):
-        rng = random.Random(31)
-        values = [rng.uniform(0.01, 5e6) for _ in range(3000)]
-        values += [0.0, -2.5, 0.125, 3.0]  # zero/negative/fractional edges
-        looped, batched = Distribution(), Distribution()
-        for value in values:
-            looped.record(value)
-        batched.record_many(values)
-        assert batched.to_dict() == looped.to_dict()
-        assert batched.total == looped.total  # exact float-fold order
-
-    def test_record_many_appends_to_existing_state(self):
-        looped, batched = Distribution(), Distribution()
-        for distribution in (looped, batched):
-            distribution.record(7.5)
-        tail = [12.0, 0.5, 9000.25]
-        for value in tail:
-            looped.record(value)
-        batched.record_many(tail)
-        assert batched.to_dict() == looped.to_dict()
-
-    def test_record_many_huge_values_use_the_exact_scalar_path(self):
-        """Values whose scaled magnitude reaches 2**53 leave float64's
-        exact-integer range; record_many must still match record()."""
-        values = [2.0 ** 53, 3.0, 2.0 ** 60 + 1.0]
-        looped, batched = Distribution(), Distribution()
-        for value in values:
-            looped.record(value)
-        batched.record_many(values)
-        assert batched.to_dict() == looped.to_dict()
-
-    def test_record_many_empty_is_a_no_op(self):
-        distribution = Distribution()
-        distribution.record_many([])
-        assert distribution.count == 0
-        assert distribution.to_dict() == Distribution().to_dict()
-
     def test_merge_equals_recording_everything_in_one(self):
         rng = random.Random(23)
         merged, whole = Distribution(), Distribution()
