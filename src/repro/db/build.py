@@ -13,7 +13,6 @@ from typing import Optional
 import numpy as np
 
 from ..mem.layout import AddressSpace
-from .column import Column
 from .hashfn import HashSpec, ROBUST_HASH_32, ROBUST_HASH_64
 from .hashtable import HashIndex, choose_num_buckets
 from .node import NodeLayout, direct_layout, monetdb_layout

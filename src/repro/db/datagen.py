@@ -8,8 +8,6 @@ built on dimension/fact columns of varying cardinality.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .column import Column

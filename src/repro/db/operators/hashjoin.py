@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ...mem.layout import AddressSpace
-from ..build import build_index, default_hash_for
+from ..build import build_index
 from ..column import Column
 from ..hashfn import HashSpec
 from ..hashtable import HashIndex

@@ -16,7 +16,7 @@ paper's cited partitioning accelerators [Wu et al.] attack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np

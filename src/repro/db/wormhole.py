@@ -52,7 +52,7 @@ from ..mem.physmem import NULL_PTR
 from .btree import (FANOUT, KEY_PAD, META_LEAF, NODE_BYTES, _KEYS_OFFSET,
                     _NEXT_LEAF_OFFSET, _PAYLOADS_OFFSET)
 from .hashfn import ROBUST_HASH_32, HashSpec
-from .trie import MAX_DEPTH, NIBBLE_BITS, _next_pow2, probe_value
+from .trie import MAX_DEPTH, _next_pow2, probe_value
 
 META_BUCKET_BYTES = 64
 META_SLOTS_PER_BUCKET = 3

@@ -58,98 +58,11 @@ from ..workloads.queryspec import QuerySpec
 from .cachestore import decode_measurement, encode_measurement
 from .chaos import (ChaosSpec, inject_measurement_error,
                     inject_worker_faults)
-from .runner import MeasurementCache, RunSettings
-
-#: Baselines measure before offloads; OoO before in-order (driver order).
-_CORE_ORDER = {"ooo": 0, "inorder": 1}
-
-
-@dataclass(frozen=True)
-class MeasurementPoint:
-    """One simulator run a figure needs: a workload on a core or on Widx."""
-
-    kind: str          # "kernel" | "query" | "ordered"
-    name: str          # kernel size ("Small"), query id ("tpch:20") or
-                       # ordered workload ("trie:Small")
-    op: str            # "baseline" | "widx" | "pim" | "serve" | "index"
-    core: str = ""     # baseline: "ooo" | "inorder"; serve: backend;
-                       # index: "ooo" | "inorder" | "widx"
-    walkers: int = 0   # widx / pim / serve-on-widx / index-on-widx only
-    mode: str = ""     # widx / pim / serve-on-widx only: Widx organization
-    batch: int = 0     # serve only: probe keys in the calibrated batch
-    banks: int = 0     # pim only: DRAM banks the walkers interleave over
-
-    def cache_tuple(self) -> Tuple:
-        """The :class:`MeasurementCache` key this point populates."""
-        if self.op == "baseline":
-            return ("baseline", self.kind, self.name, self.core)
-        if self.op == "serve":
-            return ("serve", self.kind, self.name, self.core,
-                    self.walkers, self.mode, self.batch)
-        if self.op == "pim":
-            return ("pim", self.kind, self.name, self.walkers, self.mode,
-                    self.banks)
-        if self.op == "index":
-            return ("index", self.kind, self.name, self.core,
-                    self.walkers, self.mode)
-        return ("widx", self.kind, self.name, self.walkers, self.mode)
-
-    @property
-    def workload(self) -> Tuple[str, str]:
-        return (self.kind, self.name)
-
-    def order_key(self) -> Tuple:
-        """Canonical within-workload measurement order (see module doc)."""
-        if self.op == "baseline":
-            return (0, _CORE_ORDER.get(self.core, 99), self.core)
-        if self.op == "serve":
-            return (3, _CORE_ORDER.get(self.core, 99), self.core,
-                    self.walkers, self.mode, self.batch)
-        if self.op == "pim":
-            return (2, self.banks, self.walkers, self.mode)
-        if self.op == "index":
-            if self.core in _CORE_ORDER:
-                return (0, _CORE_ORDER[self.core], self.core)
-            return (1, self.walkers, self.mode)
-        return (1, self.walkers, self.mode)
-
-
-def baseline_point(kind: str, name: str, core: str) -> MeasurementPoint:
-    """A baseline-core measurement point."""
-    return MeasurementPoint(kind=kind, name=name, op="baseline", core=core)
-
-
-def widx_point(kind: str, name: str, walkers: int,
-               mode: str = "shared") -> MeasurementPoint:
-    """A Widx-offload measurement point."""
-    return MeasurementPoint(kind=kind, name=name, op="widx",
-                            walkers=walkers, mode=mode)
-
-
-def pim_point(kind: str, name: str, walkers: int, banks: int,
-              mode: str = "shared") -> MeasurementPoint:
-    """A near-memory (bank-side walker) offload measurement point."""
-    return MeasurementPoint(kind=kind, name=name, op="pim",
-                            walkers=walkers, mode=mode, banks=banks)
-
-
-def serve_point(kind: str, name: str, backend: str, batch_keys: int,
-                walkers: int = 0, mode: str = "") -> MeasurementPoint:
-    """A serving-layer service-time calibration point."""
-    return MeasurementPoint(kind=kind, name=name, op="serve", core=backend,
-                            walkers=walkers, mode=mode, batch=batch_keys)
-
-
-def index_point(name: str, core: str, walkers: int = 0,
-                mode: str = "") -> MeasurementPoint:
-    """An ordered-index zoo measurement point.
-
-    ``name`` is ``"<class>:<size>"`` (e.g. ``"trie:Small"``); ``core`` is
-    a baseline core (``"ooo"``/``"inorder"``) or ``"widx"`` with a walker
-    count and organization.
-    """
-    return MeasurementPoint(kind="ordered", name=name, op="index",
-                            core=core, walkers=walkers, mode=mode)
+# MeasurementPoint and its constructors live beside the cache that
+# measures them; they are re-exported here for the figure drivers.
+from .runner import (MeasurementCache, MeasurementPoint,  # noqa: F401
+                     RunSettings, baseline_point, index_point, pim_point,
+                     serve_point, widx_point)
 
 
 def kernel_points(sizes: Iterable[str], walker_counts: Iterable[int],
@@ -291,20 +204,6 @@ def _point_chaos_key(point: MeasurementPoint) -> str:
     return "/".join(str(part) for part in point.cache_tuple())
 
 
-def _measure_point(cache: MeasurementCache, point: MeasurementPoint):
-    if point.op == "baseline":
-        return cache.baseline(point.kind, point.name, point.core)
-    if point.op == "serve":
-        return cache.service(point.kind, point.name, point.core, point.batch,
-                             point.walkers, point.mode)
-    if point.op == "pim":
-        return cache.pim(point.kind, point.name, point.walkers, point.banks,
-                         point.mode)
-    if point.op == "index":
-        return cache.index(point.name, point.core, point.walkers, point.mode)
-    return cache.widx(point.kind, point.name, point.walkers, point.mode)
-
-
 def _group_worker(conn, config: SystemConfig, runs: RunSettings,
                   points: Sequence[MeasurementPoint],
                   chaos: Optional[ChaosSpec],
@@ -330,7 +229,7 @@ def _group_worker(conn, config: SystemConfig, runs: RunSettings,
             inject_worker_faults(chaos, key, attempts[index])
             try:
                 inject_measurement_error(chaos, key, attempts[index])
-                payload = encode_measurement(_measure_point(cache, point))
+                payload = encode_measurement(cache.measure(point))
             except Exception as exc:  # reported, not fatal to the worker
                 conn.send(("error", index,
                            f"{type(exc).__name__}: {exc}"))
@@ -470,7 +369,7 @@ class Campaign:
         while True:
             try:
                 inject_measurement_error(self.chaos, key, attempts[point])
-                _measure_point(self.cache, point)
+                self.cache.measure(point)
             except KeyboardInterrupt:
                 raise
             except Exception as exc:

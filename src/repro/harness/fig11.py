@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..config import WidxConfig
-from ..energy.metrics import EnergyReport, energy_report
+from ..energy.metrics import energy_report
 from ..energy.power import PowerModel
 from ..workloads.queryspec import QuerySpec
 from ..workloads.tpcds import TPCDS_SIMULATED

@@ -100,7 +100,8 @@ def run_fig8b(cache: MeasurementCache,
             speedups_by_walkers[walkers].append(speedup)
             row.append(speedup)
         if include_pim:
-            outcome = cache.pim("kernel", size, PIM_WALKERS, PIM_BANKS)
+            outcome = cache.measure(
+                pim_point("kernel", size, PIM_WALKERS, PIM_BANKS))
             run = outcome.run
             pim_cpt = (run.total_cycles + run.config_cycles) / run.tuples
             speedup = measurement.ooo.cycles_per_tuple / pim_cpt

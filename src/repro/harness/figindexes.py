@@ -55,20 +55,22 @@ def _widx_mode(index_class: str) -> str:
     return "coupled" if index_class == "batched" else "shared"
 
 
+def _row_points(index_class: str) -> Tuple[MeasurementPoint, ...]:
+    """One row's (inorder, ooo, widx) measurement points."""
+    if index_class == "hash":
+        return (baseline_point("kernel", INDEX_SIZE, "inorder"),
+                baseline_point("kernel", INDEX_SIZE, "ooo"),
+                widx_point("kernel", INDEX_SIZE, INDEX_WALKERS, "shared"))
+    name = f"{index_class}:{INDEX_SIZE}"
+    return (index_point(name, "inorder"), index_point(name, "ooo"),
+            index_point(name, "widx", INDEX_WALKERS,
+                        _widx_mode(index_class)))
+
+
 def points_fig_indexes() -> List[MeasurementPoint]:
     """The measurement points the ordered-index sweep needs."""
-    points = [
-        baseline_point("kernel", INDEX_SIZE, "inorder"),
-        baseline_point("kernel", INDEX_SIZE, "ooo"),
-        widx_point("kernel", INDEX_SIZE, INDEX_WALKERS, "shared"),
-    ]
-    for cls in ORDERED_CLASSES:
-        name = f"{cls}:{INDEX_SIZE}"
-        points.append(index_point(name, "inorder"))
-        points.append(index_point(name, "ooo"))
-        points.append(index_point(name, "widx", INDEX_WALKERS,
-                                  _widx_mode(cls)))
-    return points
+    return [point for _label, cls in INDEX_ROWS
+            for point in _row_points(cls)]
 
 
 def run_fig_indexes(cache: MeasurementCache) -> Report:
@@ -81,17 +83,7 @@ def run_fig_indexes(cache: MeasurementCache) -> Report:
                  f"widx_{INDEX_WALKERS}w", "speedup"])
     rows = {}
     for label, cls in INDEX_ROWS:
-        if cls == "hash":
-            inorder = cache.baseline("kernel", INDEX_SIZE, "inorder")
-            ooo = cache.baseline("kernel", INDEX_SIZE, "ooo")
-            outcome = cache.widx("kernel", INDEX_SIZE, INDEX_WALKERS,
-                                 "shared")
-        else:
-            name = f"{cls}:{INDEX_SIZE}"
-            inorder = cache.index(name, "inorder")
-            ooo = cache.index(name, "ooo")
-            outcome = cache.index(name, "widx", INDEX_WALKERS,
-                                  _widx_mode(cls))
+        inorder, ooo, outcome = map(cache.measure, _row_points(cls))
         speedup = ooo.cycles_per_tuple / outcome.cycles_per_tuple
         rows[label] = (ooo.cycles_per_tuple, outcome.cycles_per_tuple)
         report.add_row(label, inorder.cycles_per_tuple,

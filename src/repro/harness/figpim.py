@@ -57,8 +57,8 @@ def run_fig_pim(cache: MeasurementCache,
                 bank_sweep: Iterable[int] = BANK_SWEEP) -> Report:
     """The PIM figure: cycles/tuple and speedup across bank counts."""
     bank_sweep = list(bank_sweep)
-    ooo = cache.baseline(PIM_KIND, PIM_NAME, "ooo")
-    widx = cache.widx(PIM_KIND, PIM_NAME, PIM_WALKERS)
+    ooo = cache.measure(baseline_point(PIM_KIND, PIM_NAME, "ooo"))
+    widx = cache.measure(widx_point(PIM_KIND, PIM_NAME, PIM_WALKERS))
     pim = cache.config.pim
     report = Report(
         title=f"PIM: bank-parallelism sweep on the {PIM_NAME} kernel "
@@ -71,7 +71,8 @@ def run_fig_pim(cache: MeasurementCache,
                    ooo.cycles_per_tuple / widx.run.cycles_per_tuple)
     speedups = []
     for banks in bank_sweep:
-        run = cache.pim(PIM_KIND, PIM_NAME, PIM_WALKERS, banks).run
+        run = cache.measure(
+            pim_point(PIM_KIND, PIM_NAME, PIM_WALKERS, banks)).run
         cpt = (run.total_cycles + run.config_cycles) / run.tuples
         speedup = ooo.cycles_per_tuple / cpt
         speedups.append((banks, speedup))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..serve.policies import parse_policy
-from ..serve.simulate import ResilienceConfig, ServeResult, run_open_loop
+from ..serve.simulate import ResilienceConfig, run_open_loop
 from ..serve.faults import WalkerFaultModel
 from .campaign import MeasurementPoint
 from .figserve import (BACKENDS, PIM_BACKEND, SERVE_NAME, SWEEP_REQUESTS,

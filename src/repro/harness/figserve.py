@@ -107,8 +107,8 @@ def service_model(cache: MeasurementCache, label: str, backend: str,
     """Build one backend's service model from cached calibrations."""
     kind, name = _workload_for(backend)
     measurements = [
-        cache.service(kind, name, backend,
-                      batch * KEYS_PER_REQUEST, walkers, mode)
+        cache.measure(serve_point(kind, name, backend,
+                                  batch * KEYS_PER_REQUEST, walkers, mode))
         for batch in CALIBRATED_BATCHES
     ]
     return ServiceModel.from_measurements(label, KEYS_PER_REQUEST,

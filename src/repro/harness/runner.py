@@ -25,9 +25,8 @@ from ..cpu.ordered import measure_ordered_indexing
 from ..cpu.timing import CoreTimingResult, measure_indexing
 from ..errors import (ConfigError, InvariantViolation, MeasurementFailed,
                       SimulationHang)
-from ..mem.layout import AddressSpace
 from ..obs import StatsRegistry
-from ..serve.service import ServiceMeasurement, measure_service
+from ..serve.service import measure_service
 from ..sim.watchdog import Watchdog, WatchdogLimits
 from ..widx.offload import (OffloadOutcome, offload_batched_tree,
                             offload_probe, offload_tree_search,
@@ -85,6 +84,100 @@ def measurement_key(config: SystemConfig, runs: RunSettings,
         "runs": asdict(runs),
         "point": list(point),
     })
+
+
+#: Baselines measure before offloads; OoO before in-order (driver order).
+_CORE_ORDER = {"ooo": 0, "inorder": 1}
+
+
+@dataclass(frozen=True)
+class MeasurementPoint:
+    """One simulator run a figure needs: a workload on a core or on Widx."""
+
+    kind: str          # "kernel" | "query" | "ordered"
+    name: str          # kernel size ("Small"), query id ("tpch:20") or
+                       # ordered workload ("trie:Small")
+    op: str            # "baseline" | "widx" | "pim" | "serve" | "index"
+    core: str = ""     # baseline: "ooo" | "inorder"; serve: backend;
+                       # index: "ooo" | "inorder" | "widx"
+    walkers: int = 0   # widx / pim / serve-on-widx / index-on-widx only
+    mode: str = ""     # widx / pim / serve-on-widx only: Widx organization
+    batch: int = 0     # serve only: probe keys in the calibrated batch
+    banks: int = 0     # pim only: DRAM banks the walkers interleave over
+
+    def cache_tuple(self) -> Tuple:
+        """The :class:`MeasurementCache` key this point populates."""
+        if self.op == "baseline":
+            return ("baseline", self.kind, self.name, self.core)
+        if self.op == "serve":
+            return ("serve", self.kind, self.name, self.core,
+                    self.walkers, self.mode, self.batch)
+        if self.op == "pim":
+            return ("pim", self.kind, self.name, self.walkers, self.mode,
+                    self.banks)
+        if self.op == "index":
+            return ("index", self.kind, self.name, self.core,
+                    self.walkers, self.mode)
+        return ("widx", self.kind, self.name, self.walkers, self.mode)
+
+    @property
+    def workload(self) -> Tuple[str, str]:
+        return (self.kind, self.name)
+
+    def order_key(self) -> Tuple:
+        """Canonical within-workload measurement order (baselines first,
+        then Widx by ascending walker count; see
+        :mod:`repro.harness.campaign`)."""
+        if self.op == "baseline":
+            return (0, _CORE_ORDER.get(self.core, 99), self.core)
+        if self.op == "serve":
+            return (3, _CORE_ORDER.get(self.core, 99), self.core,
+                    self.walkers, self.mode, self.batch)
+        if self.op == "pim":
+            return (2, self.banks, self.walkers, self.mode)
+        if self.op == "index":
+            if self.core in _CORE_ORDER:
+                return (0, _CORE_ORDER[self.core], self.core)
+            return (1, self.walkers, self.mode)
+        return (1, self.walkers, self.mode)
+
+
+def baseline_point(kind: str, name: str, core: str) -> MeasurementPoint:
+    """A baseline-core measurement point."""
+    return MeasurementPoint(kind=kind, name=name, op="baseline", core=core)
+
+
+def widx_point(kind: str, name: str, walkers: int,
+               mode: str = "shared") -> MeasurementPoint:
+    """A Widx-offload measurement point."""
+    return MeasurementPoint(kind=kind, name=name, op="widx",
+                            walkers=walkers, mode=mode)
+
+
+def pim_point(kind: str, name: str, walkers: int, banks: int,
+              mode: str = "shared") -> MeasurementPoint:
+    """A near-memory (bank-side walker) offload measurement point."""
+    return MeasurementPoint(kind=kind, name=name, op="pim",
+                            walkers=walkers, mode=mode, banks=banks)
+
+
+def serve_point(kind: str, name: str, backend: str, batch_keys: int,
+                walkers: int = 0, mode: str = "") -> MeasurementPoint:
+    """A serving-layer service-time calibration point."""
+    return MeasurementPoint(kind=kind, name=name, op="serve", core=backend,
+                            walkers=walkers, mode=mode, batch=batch_keys)
+
+
+def index_point(name: str, core: str, walkers: int = 0,
+                mode: str = "") -> MeasurementPoint:
+    """An ordered-index zoo measurement point.
+
+    ``name`` is ``"<class>:<size>"`` (e.g. ``"trie:Small"``); ``core`` is
+    a baseline core (``"ooo"``/``"inorder"``) or ``"widx"`` with a walker
+    count and organization.
+    """
+    return MeasurementPoint(kind="ordered", name=name, op="index",
+                            core=core, walkers=walkers, mode=mode)
 
 
 @dataclass
@@ -243,140 +336,80 @@ class MeasurementCache:
 
     # --- measurements (cached) ------------------------------------------
 
-    def baseline(self, kind: str, name: str, core: str) -> CoreTimingResult:
-        """Measure (or reuse) a baseline core on one workload."""
-        point = ("baseline", kind, name, core)
-        result = self.fetch(point)
-        if result is None:
-            self._check_poisoned(point)
-            index, probes = (self.kernel_workload(name) if kind == "kernel"
-                             else self.query_workload(self._spec_by_name(name)))
-            result = measure_indexing(
-                index, probes, core=core, config=self.config,
-                warmup_probes=self.runs.warmup,
-                measure_probes=self.runs.measured)
-            self.measured_points += 1
-            self.install(point, result)
-        return result  # type: ignore[return-value]
+    def measure(self, point: MeasurementPoint) -> object:
+        """Measure (or reuse) one point.
 
-    def widx(self, kind: str, name: str, walkers: int,
-             mode: str = "shared") -> OffloadOutcome:
-        """Measure (or reuse) a Widx offload on one workload."""
-        point = ("widx", kind, name, walkers, mode)
-        result = self.fetch(point)
-        if result is None:
-            self._check_poisoned(point)
-            index, probes = (self.kernel_workload(name) if kind == "kernel"
-                             else self.query_workload(self._spec_by_name(name)))
-            config = self.config.with_widx(num_walkers=walkers, mode=mode)
-            try:
-                result = offload_probe(
-                    index, probes, config=config, probes=self.runs.probes,
-                    watchdog=self._watchdog())
-            except (SimulationHang, InvariantViolation) as exc:
-                if hasattr(exc, "add_note"):
-                    exc.add_note(f"while measuring point {point!r}")
-                raise
-            self.measured_points += 1
-            self.install(point, result)
-        return result  # type: ignore[return-value]
-
-    def pim(self, kind: str, name: str, walkers: int, banks: int,
-            mode: str = "shared") -> OffloadOutcome:
-        """Measure (or reuse) a near-memory (bank-side walker) offload."""
-        point = ("pim", kind, name, walkers, mode, banks)
-        result = self.fetch(point)
-        if result is None:
-            self._check_poisoned(point)
-            index, probes = (self.kernel_workload(name) if kind == "kernel"
-                             else self.query_workload(self._spec_by_name(name)))
-            config = self.config.with_widx(
-                num_walkers=walkers, mode=mode,
-                placement="pim").with_pim(num_banks=banks)
-            try:
-                result = offload_probe(
-                    index, probes, config=config, probes=self.runs.probes,
-                    watchdog=self._watchdog())
-            except (SimulationHang, InvariantViolation) as exc:
-                if hasattr(exc, "add_note"):
-                    exc.add_note(f"while measuring point {point!r}")
-                raise
-            self.measured_points += 1
-            self.install(point, result)
-        return result  # type: ignore[return-value]
-
-    def index(self, name: str, core: str, walkers: int = 0,
-              mode: str = "") -> object:
-        """Measure (or reuse) one ordered-index zoo point.
-
-        ``name`` is ``"<class>:<size>"``.  ``core`` selects a baseline
-        core model (``"ooo"``/``"inorder"``, returning a
-        :class:`CoreTimingResult`) or ``"widx"`` (returning an
-        :class:`OffloadOutcome` from the class's offload driver).
+        Returns a :class:`CoreTimingResult` for baseline cores, an
+        :class:`OffloadOutcome` for Widx/PIM offloads and a
+        :class:`ServiceMeasurement` for serving calibrations.  A hang or
+        invariant violation carries a note naming the point.
         """
-        point = ("index", "ordered", name, core, walkers, mode)
-        result = self.fetch(point)
+        key = point.cache_tuple()
+        result = self.fetch(key)
         if result is None:
-            self._check_poisoned(point)
-            index_class, _, _size = name.partition(":")
-            index, probes = self.ordered_workload(name)
-            if core in ("ooo", "inorder"):
-                result = measure_ordered_indexing(
-                    index, probes, index_class=index_class, core=core,
-                    config=self.config, warmup_probes=self.runs.warmup,
-                    measure_probes=self.runs.measured)
-            elif core == "widx":
-                config = self.config.with_widx(
-                    num_walkers=walkers, mode=mode or "shared")
-                offload = {"btree": offload_tree_search,
-                           "trie": offload_trie_search,
-                           "wormhole": offload_wormhole_search,
-                           "batched": offload_batched_tree}[index_class]
-                try:
-                    result = offload(index, probes, config=config,
-                                     probes=self.runs.probes,
-                                     watchdog=self._watchdog())
-                except (SimulationHang, InvariantViolation) as exc:
-                    if hasattr(exc, "add_note"):
-                        exc.add_note(f"while measuring point {point!r}")
-                    raise
-            else:
-                raise ConfigError(
-                    f"unknown ordered-index core {core!r} "
-                    f"(want 'ooo', 'inorder' or 'widx')")
+            self._check_poisoned(key)
+            try:
+                result = self._simulate(point)
+            except (SimulationHang, InvariantViolation) as exc:
+                if hasattr(exc, "add_note"):
+                    exc.add_note(f"while measuring point {key!r}")
+                raise
             self.measured_points += 1
-            self.install(point, result)
+            self.install(key, result)
         return result
 
-    def service(self, kind: str, name: str, backend: str, batch_keys: int,
-                walkers: int = 0, mode: str = "") -> ServiceMeasurement:
-        """Measure (or reuse) one serving-layer service-time calibration:
-        the cycles ``backend`` spends serving a ``batch_keys``-key probe
-        batch on one workload (see :mod:`repro.serve.service`)."""
-        point = ("serve", kind, name, backend, walkers, mode, batch_keys)
-        result = self.fetch(point)
-        if result is None:
-            self._check_poisoned(point)
-            if kind == "kernel":
-                index, probes = self.kernel_workload(name)
-            elif kind == "ordered":
-                index, probes = self.ordered_workload(name)
-            else:
-                index, probes = self.query_workload(self._spec_by_name(name))
-            try:
-                result = measure_service(
-                    index, probes, backend=backend, batch_keys=batch_keys,
-                    config=self.config, walkers=walkers, mode=mode,
-                    watchdog=self._watchdog())
-            except (SimulationHang, InvariantViolation) as exc:
-                if hasattr(exc, "add_note"):
-                    exc.add_note(f"while measuring point {point!r}")
-                raise
-            result.kind = kind
-            result.name = name
-            self.measured_points += 1
-            self.install(point, result)
-        return result  # type: ignore[return-value]
+    def _workload(self, kind: str, name: str):
+        if kind == "kernel":
+            return self.kernel_workload(name)
+        if kind == "ordered":
+            return self.ordered_workload(name)
+        return self.query_workload(self._spec_by_name(name))
+
+    def _simulate(self, point: MeasurementPoint) -> object:
+        index, probes = self._workload(point.kind, point.name)
+        runs = self.runs
+        index_class = point.name.partition(":")[0]
+        if point.op == "serve":
+            result = measure_service(
+                index, probes, backend=point.core, batch_keys=point.batch,
+                config=self.config, walkers=point.walkers, mode=point.mode,
+                watchdog=self._watchdog())
+            result.kind = point.kind
+            result.name = point.name
+            return result
+        if point.op == "baseline":
+            return measure_indexing(
+                index, probes, core=point.core, config=self.config,
+                warmup_probes=runs.warmup, measure_probes=runs.measured)
+        if point.op == "index" and point.core in ("ooo", "inorder"):
+            return measure_ordered_indexing(
+                index, probes, index_class=index_class, core=point.core,
+                config=self.config, warmup_probes=runs.warmup,
+                measure_probes=runs.measured)
+        if point.op == "index":
+            if point.core != "widx":
+                raise ConfigError(
+                    f"unknown ordered-index core {point.core!r} "
+                    f"(want 'ooo', 'inorder' or 'widx')")
+            # Built per call, so each driver is read from its module
+            # global at call time (where a tracer may have wrapped it).
+            offload = {"btree": offload_tree_search,
+                       "trie": offload_trie_search,
+                       "wormhole": offload_wormhole_search,
+                       "batched": offload_batched_tree}[index_class]
+            config = self.config.with_widx(num_walkers=point.walkers,
+                                           mode=point.mode or "shared")
+        elif point.op == "pim":
+            offload = offload_probe
+            config = self.config.with_widx(
+                num_walkers=point.walkers, mode=point.mode,
+                placement="pim").with_pim(num_banks=point.banks)
+        else:
+            offload = offload_probe
+            config = self.config.with_widx(num_walkers=point.walkers,
+                                           mode=point.mode)
+        return offload(index, probes, config=config, probes=runs.probes,
+                       watchdog=self._watchdog())
 
     def merged_stats(self) -> StatsRegistry:
         """One registry merging every cached measurement's stats snapshot.
@@ -408,9 +441,10 @@ def measure_kernel(cache: MeasurementCache, size: str,
                    ) -> WorkloadMeasurement:
     """Measure one kernel size on the OoO baseline and Widx configs."""
     result = WorkloadMeasurement(name=size)
-    result.ooo = cache.baseline("kernel", size, "ooo")
+    result.ooo = cache.measure(baseline_point("kernel", size, "ooo"))
     for walkers in walker_counts:
-        result.widx[walkers] = cache.widx("kernel", size, walkers)
+        result.widx[walkers] = cache.measure(
+            widx_point("kernel", size, walkers))
     return result
 
 
@@ -420,11 +454,13 @@ def measure_query(cache: MeasurementCache, spec: QuerySpec,
     """Measure one DSS query on the baselines and Widx configs."""
     name = f"{spec.benchmark}:{spec.number}"
     result = WorkloadMeasurement(name=spec.label)
-    result.ooo = cache.baseline("query", name, "ooo")
+    result.ooo = cache.measure(baseline_point("query", name, "ooo"))
     if include_inorder:
-        result.inorder = cache.baseline("query", name, "inorder")
+        result.inorder = cache.measure(
+            baseline_point("query", name, "inorder"))
     for walkers in walker_counts:
-        result.widx[walkers] = cache.widx("query", name, walkers)
+        result.widx[walkers] = cache.measure(
+            widx_point("query", name, walkers))
     return result
 
 

@@ -15,9 +15,9 @@ blueprint):
 - every emitted result returns to the host over the existing
   interconnect (stores pay ``interconnect_cycles`` on completion).
 
-:func:`offload_probe_pim` is the entry point: a thin wrapper over
-:func:`repro.widx.offload.offload_probe` that pins the ``pim`` placement.
-:func:`pim_config` builds the corresponding :class:`SystemConfig`.  The
+An offload reaches the banks through the ordinary entry points
+(:func:`repro.widx.offload.offload_probe` and the other drivers) under a
+:class:`SystemConfig` placed there; :func:`pim_config` builds one.  The
 differential twins live in :mod:`repro.pim.reference`.
 """
 
@@ -26,14 +26,10 @@ from __future__ import annotations
 from typing import Optional
 
 from ..config import DEFAULT_CONFIG, SystemConfig
-from ..db.column import Column
-from ..db.hashtable import HashIndex
-from ..widx.offload import OffloadOutcome, offload_probe
 from .reference import ReferencePimUnit, use_reference_pim_memory
 
 __all__ = [
     "ReferencePimUnit",
-    "offload_probe_pim",
     "pim_config",
     "use_reference_pim_memory",
 ]
@@ -69,16 +65,3 @@ def pim_config(config: SystemConfig = DEFAULT_CONFIG, *,
         config = config.with_pim(**pim_overrides)
     return config
 
-
-def offload_probe_pim(index: HashIndex, probe_column: Column, *,
-                      config: SystemConfig = DEFAULT_CONFIG,
-                      **kwargs) -> OffloadOutcome:
-    """Probe ``index`` on bank-side walkers; returns timing plus results.
-
-    Accepts everything :func:`repro.widx.offload.offload_probe` does;
-    the configuration is forced onto the ``pim`` placement first (a
-    config already placed there passes through unchanged).
-    """
-    if config.widx.placement != "pim":
-        config = pim_config(config)
-    return offload_probe(index, probe_column, config=config, **kwargs)

@@ -90,7 +90,7 @@ def measure_service(index: HashIndex, probe_column: Column, *,
                                        mode=mode or "coupled")
         outcome = offload_batched_tree(index, probe_column,
                                        config=widx_config,
-                                       probes=batch_keys)
+                                       probes=batch_keys, watchdog=watchdog)
         return ServiceMeasurement(
             backend=backend, kind="", name="", walkers=walkers,
             mode=mode or "coupled", batch_keys=batch_keys,

@@ -1,4 +1,4 @@
-"""High-level Widx offload driver.
+"""High-level Widx offload drivers.
 
 ``offload_probe`` is the library's headline entry point: given a built
 :class:`~repro.db.HashIndex` and a materialized probe-key column, it
@@ -6,6 +6,15 @@ generates the three Widx programs for the index's schema, configures a
 :class:`WidxMachine`, runs the bulk probe to completion, and validates the
 emitted matches against the functional reference — the paper's atomic
 all-or-nothing offload, with the host core idle throughout.
+
+Every index structure runs on the same machine; only the programs loaded
+into its units and the values in their configuration registers differ.
+So each public ``offload_*`` entry point just describes its traversal in
+a :class:`_Traversal` (legal organizations, functional reference, staged
+input, programs, configuration registers, warm regions) and hands it to
+one private pipeline, :func:`_offload`: stage input → out region →
+warm → build → configure → run → read payloads → validate → stats
+snapshot → release.
 
 Widx offloads run on the discrete-event engine: the walkers *share* the
 MSHRs, cache ports and (in shared mode) the dispatcher queue, so every
@@ -16,21 +25,39 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SystemConfig, DEFAULT_CONFIG
-from ..cpu.timing import warm_hash_index
+from ..cpu.timing import hash_index_regions
+from ..db.btree import KEY_PAD, BPlusTree
 from ..db.column import Column
 from ..db.hashtable import HashIndex
+from ..db.trie import MlpTrie
+from ..db.wormhole import WormholeIndex
 from ..errors import MemoryError_, SimulationHang, WidxFault
 from ..mem.hierarchy import MemoryHierarchy
 from ..obs import StatsRegistry
 from ..sim.watchdog import Watchdog
 from .machine import UnitFault, WidxMachine, WidxRunResult
-from .programs import (GeneratedProgram, coupled_walker_program,
-                       dispatcher_program, producer_program, walker_program)
+from .programs import (GeneratedProgram, batched_tree_walker_program,
+                       coupled_walker_program, dispatcher_program,
+                       key_dispatcher_program, producer_program,
+                       range_dispatcher_program, tree_dispatcher_program,
+                       tree_range_walker_program, tree_walker_program,
+                       trie_range_dispatcher_program,
+                       trie_range_walker_program, trie_walker_program,
+                       walker_program, wormhole_range_walker_program,
+                       wormhole_walker_program)
+from .trail import TrailRecorder
+from .unit import WidxUnit
 
 _offload_counter = itertools.count()
+
+#: Organizations a traversal without a hashing stage can run in.
+_SEARCH_MODES = ("shared", "private")
+#: Range scans stream (low, high) records through one dispatcher.
+_RANGE_MODES = ("shared",)
 
 
 def _hierarchy_for(config: SystemConfig):
@@ -64,6 +91,234 @@ class OffloadOutcome:
     @property
     def matches(self) -> int:
         return self.run.matches
+
+
+@dataclass
+class _Traversal:
+    """One index structure's side of an offload: everything
+    :func:`_offload` needs that differs between structures.
+
+    The *streaming* unit — each dispatcher, or each walker when there is
+    no dispatcher — walks ``items`` records of ``item_bytes`` from
+    ``base`` (or from the staged input, when ``staging`` is set) through
+    its ``stream`` (cursor, count) registers; ``unit_regs`` and
+    ``walker_regs`` name further registers by their program's map.
+    """
+
+    index: Any                          # the structure: ``space``, ``name``
+    label: str                          # names the offload in errors
+    modes: Tuple[str, ...]              # legal Widx organizations
+    reference: List[int]                # the functional oracle's payloads
+    tuples: int                         # items the run must retire
+    dispatcher: Optional[GeneratedProgram]
+    walker: GeneratedProgram
+    stream: Tuple[str, str]             # (cursor, count) register names
+    items: int
+    item_bytes: int
+    warm: Sequence[Tuple[int, int]]     # (base, bytes) to pre-install
+    base: int = 0
+    staging: Optional[Tuple[str, int, List[int]]] = None  # stem, width, words
+    unit_regs: Dict[str, int] = field(default_factory=dict)
+    walker_regs: Dict[str, int] = field(default_factory=dict)
+    out: str = "out"                    # output-region name stem
+
+
+def _offload(spec: _Traversal, config: SystemConfig, warm: bool,
+             validate: bool, memory: Optional[MemoryHierarchy], engine,
+             unit_cls, watchdog: Optional[Watchdog], *, tracer=None,
+             trail=None, faults: Sequence[UnitFault] = (),
+             configure_hook=None,
+             fallback: Optional[Callable] = None) -> OffloadOutcome:
+    """Run one traversal on the configured Widx organization.
+
+    Staging and output regions are scratch: released in reverse
+    allocation order (and the space's break rewound) before returning,
+    so every offload against a workload sees the same address layout no
+    matter how many offloads ran before it.
+    """
+    widx = config.widx
+    if widx.mode not in spec.modes:
+        raise WidxFault(
+            "range scans use the shared-dispatcher organization"
+            if spec.modes == _RANGE_MODES else
+            f"{spec.label} has no hashing stage to couple; use 'shared' "
+            f"or 'private'")
+    space = spec.index.space
+    run_id = next(_offload_counter)
+    regions = []
+    try:
+        base = spec.base
+        if spec.staging is not None:
+            stem, width, words = spec.staging
+            staged = space.allocate(f"{spec.index.name}:{stem}{run_id}",
+                                    max(64, width * len(words)), align=64)
+            regions.append(staged)
+            for offset, word in enumerate(words):
+                space.memory.write(staged.base + width * offset, width, word)
+            base = staged.base
+        out_region = space.allocate(
+            f"{spec.index.name}:{spec.out}{run_id}",
+            max(64, 8 * (len(spec.reference) + 1)), align=64)
+        regions.append(out_region)
+
+        producer = producer_program(8)
+        programs = ({} if spec.dispatcher is None
+                    else {"dispatcher": spec.dispatcher})
+        programs.update(walker=spec.walker, producer=producer)
+        hierarchy = memory if memory is not None else _hierarchy_for(config)
+        if warm:
+            for start, size in spec.warm:
+                hierarchy.warm_range(start, size)
+        machine = WidxMachine(config, hierarchy, space.memory, engine=engine,
+                              tracer=tracer, unit_cls=unit_cls or WidxUnit)
+        machine.build(spec.dispatcher, spec.walker, producer)
+        if trail is not None:
+            machine.attach_trail(TrailRecorder(trail))
+        _configure(machine, spec, base, widx.mode, widx.num_walkers)
+        machine.configure_unit(
+            "producer",
+            {producer.config_registers["out_cursor"]: out_region.base})
+        if configure_hook is not None:
+            configure_hook(machine)
+
+        try:
+            run = machine.run(expected_tuples=spec.tuples,
+                              watchdog=watchdog, faults=faults)
+        except (MemoryError_, WidxFault):
+            if fallback is None:
+                raise
+            return fallback(machine, programs)
+        except SimulationHang:
+            # Only an injected stall makes a hang *expected* (the watchdog
+            # / deadlock detector catching a wedged walker); a hang in a
+            # fault-free run is a real bug and must propagate.
+            if not (faults and fallback is not None):
+                raise
+            return fallback(machine, programs)
+        payloads = [space.memory.read_u64(out_region.base + 8 * i)
+                    for i in range(run.matches)]
+    finally:
+        for region in reversed(regions):
+            space.release(region)
+
+    validated: Optional[bool] = None
+    if validate:
+        validated = sorted(payloads) == sorted(spec.reference)
+        if not validated:
+            raise WidxFault(
+                f"{spec.label} offload diverged: {len(payloads)} emitted "
+                f"vs {len(spec.reference)} expected")
+    registry = StatsRegistry()
+    hierarchy.register_into(registry, "mem")
+    machine.register_into(registry)
+    machine.engine.register_into(registry, "sim.engine")
+    if trail is not None:
+        registry.register("widx.trails", trail)
+    return OffloadOutcome(run=run, payloads=payloads, validated=validated,
+                          memory=hierarchy, programs=programs,
+                          stats=registry.to_dict())
+
+
+def _configure(machine: WidxMachine, spec: _Traversal, base: int,
+               mode: str, n: int) -> None:
+    """Write the streaming units' and the walkers' registers."""
+    regs = (spec.dispatcher or spec.walker).config_registers
+    cursor, count = spec.stream
+
+    def stream(first: int, stride: int) -> Dict[int, int]:
+        items = (0 if first >= spec.items
+                 else (spec.items - first + stride - 1) // stride)
+        values = {regs[cursor]: base + first * spec.item_bytes,
+                  regs[count]: items}
+        values.update((regs[name], value)
+                      for name, value in spec.unit_regs.items())
+        return values
+
+    if mode == "shared":
+        machine.configure_unit("dispatcher", stream(0, 1))
+    else:
+        unit = "dispatcher" if mode == "private" else "walker"
+        for i in range(n):
+            machine.configure_unit(f"{unit}{i}", stream(i, n))
+    if spec.walker_regs:
+        regs = spec.walker.config_registers
+        for i in range(n):
+            machine.configure_unit(f"walker{i}", {
+                regs[name]: value for name, value in spec.walker_regs.items()})
+
+
+def _probe_count(probe_column: Column, probes: Optional[int],
+                 batch: int = 1) -> int:
+    """How many leading keys of ``probe_column`` to probe: ``probes``
+    capped at the column, truncated to whole batches of ``batch``."""
+    if not probe_column.is_materialized:
+        raise WidxFault("probe keys must be materialized in simulated memory")
+    total_keys = len(probe_column.values)
+    probes = total_keys if probes is None else min(probes, total_keys)
+    probes = (probes // batch) * batch
+    if probes < batch:
+        raise WidxFault("need at least one probe" if batch == 1 else
+                        f"need at least one whole batch of {batch} probes")
+    return probes
+
+
+def _keys(probe_column: Column, probes: int) -> List[int]:
+    return [int(probe_column.values[row]) for row in range(probes)]
+
+
+def _stride(config: SystemConfig) -> int:
+    """Keys a dispatcher skips between its own: one per walker in the
+    private organization, where each walker has its own dispatcher."""
+    return config.widx.num_walkers if config.widx.mode == "private" else 1
+
+
+def _regions(*regions) -> List[Tuple[int, int]]:
+    return [(region.base, region.size) for region in regions
+            if region is not None]
+
+
+def _search(index, probe_column: Column, probes: Optional[int],
+            config: SystemConfig, label: str, dispatcher_program,
+            walker: GeneratedProgram, **fields) -> _Traversal:
+    """A point-lookup traversal: the dispatcher streams the column's
+    leading ``probes`` keys; the reference is what ``index.search``
+    finds for them."""
+    probes = _probe_count(probe_column, probes)
+    key_bytes = probe_column.dtype.nbytes
+    return _Traversal(
+        index=index, label=label, modes=_SEARCH_MODES,
+        reference=[payload for payload in map(
+            index.search, _keys(probe_column, probes)) if payload is not None],
+        tuples=probes,
+        dispatcher=dispatcher_program(key_bytes, stride_keys=_stride(config)),
+        walker=walker, stream=("key_cursor", "key_count"), items=probes,
+        item_bytes=key_bytes, base=probe_column.region.base, **fields)
+
+
+def _range_scan(index, ranges, label: str, dispatcher: GeneratedProgram,
+                walker: GeneratedProgram, *, width: int = 4,
+                limit: Optional[int] = KEY_PAD, plan=None,
+                **fields) -> _Traversal:
+    """A multi-range scan traversal: the shared dispatcher streams one
+    record of two ``width``-byte words per range — (low, high), or
+    (``plan(low)``, high) when the host plans each range's start; the
+    reference is every payload ``index.range_scan`` yields."""
+    ranges = [(int(low), int(high)) for low, high in ranges]
+    if not ranges:
+        raise WidxFault("need at least one range")
+    words: List[int] = []
+    for low, high in ranges:
+        if not 0 <= low <= high or (limit is not None and high >= limit):
+            raise WidxFault(f"bad range [{low}, {high}]")
+        words += (low if plan is None else plan(low), high)
+    return _Traversal(
+        index=index, label=label, modes=_RANGE_MODES,
+        reference=[payload for low, high in ranges
+                   for _key, payload in index.range_scan(low, high)],
+        tuples=len(ranges), dispatcher=dispatcher, walker=walker,
+        stream=("range_cursor", "range_count"), items=len(ranges),
+        item_bytes=2 * width, staging=("ranges", width, words), out="rout",
+        **fields)
 
 
 def offload_probe(index: HashIndex, probe_column: Column, *,
@@ -117,160 +372,43 @@ def offload_probe(index: HashIndex, probe_column: Column, *,
     or stall aborts it — recovered on the host when
     ``fallback_to_host`` is set, raised otherwise.
     """
-    if not probe_column.is_materialized:
-        raise WidxFault("probe keys must be materialized in simulated memory")
-    total_keys = len(probe_column.values)
-    probes = total_keys if probes is None else min(probes, total_keys)
-    if probes < 1:
-        raise WidxFault("need at least one probe")
-
-    space = index.space
+    probes = _probe_count(probe_column, probes)
     layout = index.layout
-    widx = config.widx
-    n = widx.num_walkers
-    key_bytes = layout.key_bytes
-
-    # Reference results: used both to size the output region and (if asked)
-    # to validate the accelerated run.
+    n = config.widx.num_walkers
     reference: List[int] = []
-    for row in range(probes):
-        reference.extend(index.probe(int(probe_column.values[row])))
-
-    run_id = next(_offload_counter)
-    # The output buffer is scratch: released (and the space's break rewound)
-    # before returning, so every offload against this workload sees the
-    # same address layout no matter how many offloads ran before it.
-    out_region = space.allocate(f"{index.name}:out{run_id}",
-                                max(64, 8 * (len(reference) + 1)), align=64)
-    try:
-        return _offload_probe_with_region(
-            index, probe_column, probes, config, warm, validate, memory,
-            fallback_to_host, configure_hook, reference, out_region,
-            watchdog, tracer, engine, unit_cls, faults, trail)
-    finally:
-        space.release(out_region)
-
-
-def _offload_probe_with_region(index, probe_column, probes, config, warm,
-                               validate, memory, fallback_to_host,
-                               configure_hook, reference, out_region,
-                               watchdog=None, tracer=None,
-                               engine=None, unit_cls=None,
-                               faults=(), trail=None) -> OffloadOutcome:
-    space = index.space
-    layout = index.layout
-    widx = config.widx
-    n = widx.num_walkers
-    key_bytes = layout.key_bytes
-
-    # --- program generation -------------------------------------------
-    programs: Dict[str, GeneratedProgram] = {}
-    mode = widx.mode
-    if mode == "coupled":
+    for key in _keys(probe_column, probes):
+        reference.extend(index.probe(key))
+    if config.widx.mode == "coupled":
+        # Coupled walkers hash inline and stream the keys themselves.
+        dispatcher = None
         walker = coupled_walker_program(index.hash_spec, layout,
                                         stride_keys=n)
-        dispatcher = None
     else:
-        stride = n if mode == "private" else 1
         dispatcher = dispatcher_program(index.hash_spec, layout,
-                                        stride_keys=stride)
+                                        stride_keys=_stride(config))
         walker = walker_program(layout)
-        programs["dispatcher"] = dispatcher
-    producer = producer_program(8)
-    programs["walker"] = walker
-    programs["producer"] = producer
-
-    # --- machine ------------------------------------------------------
-    hierarchy = memory if memory is not None else _hierarchy_for(config)
-    if warm:
-        warm_hash_index(hierarchy, index)
-    machine_kwargs = {} if unit_cls is None else {"unit_cls": unit_cls}
-    machine = WidxMachine(config, hierarchy, space.memory, engine=engine,
-                          tracer=tracer, **machine_kwargs)
-    machine.build(dispatcher, walker, producer)
-    if trail is not None:
-        from .trail import TrailRecorder
-        machine.attach_trail(TrailRecorder(trail))
-
-    mask = index.num_buckets - 1
-    base = probe_column.region.base
-
-    def dispatch_config(unit_index: int, stride: int) -> Dict[int, int]:
-        first = unit_index
-        count = 0 if first >= probes else (probes - first + stride - 1) // stride
-        generated = dispatcher if dispatcher is not None else walker
-        regs = generated.config_registers
-        values = {
-            regs["key_cursor"]: base + first * key_bytes,
-            regs["key_count"]: count,
-            regs["bucket_base"]: index.buckets.base,
-            regs["bucket_mask"]: mask,
-        }
-        return values
-
-    if mode == "shared":
-        machine.configure_unit("dispatcher", dispatch_config(0, 1))
-    elif mode == "private":
-        for i in range(n):
-            machine.configure_unit(f"dispatcher{i}", dispatch_config(i, n))
-    else:  # coupled walkers hash inline
-        for i in range(n):
-            machine.configure_unit(f"walker{i}", dispatch_config(i, n))
-
-    if layout.indirect:
-        column_reg = walker.config_registers["column_base"]
-        column_base = index.key_column.region.base
-        for i in range(n):
-            machine.configure_unit(f"walker{i}", {column_reg: column_base})
-
-    machine.configure_unit(
-        "producer",
-        {producer.config_registers["out_cursor"]: out_region.base})
-    if configure_hook is not None:
-        configure_hook(machine)
-
-    # --- run and read back --------------------------------------------
-    try:
-        run = machine.run(expected_tuples=probes, watchdog=watchdog,
-                          faults=faults)
-    except (MemoryError_, WidxFault):
-        if not fallback_to_host:
-            raise
-        return _host_fallback(index, probe_column, probes, config,
-                              machine, programs, reference)
-    except SimulationHang:
-        # Only an injected stall makes a hang *expected* (the watchdog /
-        # deadlock detector catching a wedged walker); a hang in a
-        # fault-free run is a real bug and must propagate.
-        if not (faults and fallback_to_host):
-            raise
-        return _host_fallback(index, probe_column, probes, config,
-                              machine, programs, reference)
-    payloads = [space.memory.read_u64(out_region.base + 8 * i)
-                for i in range(run.matches)]
-
-    validated: Optional[bool] = None
-    if validate:
-        validated = sorted(payloads) == sorted(reference)
-        if not validated:
-            raise WidxFault(
-                f"Widx offload diverged from the reference probe: "
-                f"{len(payloads)} emitted vs {len(reference)} expected")
-    registry = StatsRegistry()
-    hierarchy.register_into(registry, "mem")
-    machine.register_into(registry)
-    machine.engine.register_into(registry, "sim.engine")
-    if trail is not None:
-        registry.register("widx.trails", trail)
-    return OffloadOutcome(run=run, payloads=payloads, validated=validated,
-                          memory=hierarchy, programs=programs,
-                          stats=registry.to_dict())
+    spec = _Traversal(
+        index=index, label="hash probe",
+        modes=("shared", "private", "coupled"), reference=reference,
+        dispatcher=dispatcher, walker=walker,
+        warm=hash_index_regions(index),
+        tuples=probes, stream=("key_cursor", "key_count"), items=probes,
+        item_bytes=layout.key_bytes, base=probe_column.region.base,
+        unit_regs={"bucket_base": index.buckets.base,
+                   "bucket_mask": index.num_buckets - 1},
+        walker_regs=({"column_base": index.key_column.region.base}
+                     if layout.indirect else {}))
+    fallback = (partial(_host_fallback, index, probe_column, probes, config,
+                        reference) if fallback_to_host else None)
+    return _offload(spec, config, warm, validate, memory, engine, unit_cls,
+                    watchdog, tracer=tracer, trail=trail, faults=faults,
+                    configure_hook=configure_hook, fallback=fallback)
 
 
 def _host_fallback(index: HashIndex, probe_column: Column, probes: int,
-                   config: SystemConfig, machine: WidxMachine,
-                   programs: Dict[str, GeneratedProgram],
-                   reference: List[int]) -> OffloadOutcome:
+                   config: SystemConfig, reference: List[int],
+                   machine: WidxMachine,
+                   programs: Dict[str, GeneratedProgram]) -> OffloadOutcome:
     """Abort the offload and re-execute the whole operation on the host
     core (the paper's all-or-nothing recovery path)."""
     from ..cpu.timing import measure_indexing
@@ -301,6 +439,7 @@ def offload_tree_search(tree, probe_column: Column, *,
                         warm: bool = True,
                         validate: bool = True,
                         memory: Optional[MemoryHierarchy] = None,
+                        engine=None, unit_cls=None,
                         watchdog: Optional[Watchdog] = None
                         ) -> OffloadOutcome:
     """Accelerate B+-tree point lookups (the Section 7 tree extension).
@@ -308,79 +447,18 @@ def offload_tree_search(tree, probe_column: Column, *,
     Same machine, different programs: the dispatcher streams probe keys
     (no hashing) and the walkers run the generated tree-descent function.
     Only the ``shared`` and ``private`` organizations apply — trees have no
-    hashing stage to couple.  ``watchdog`` budgets the run as in
-    :func:`offload_probe`; every ordered offload takes one.
+    hashing stage to couple.  ``memory``/``engine``/``unit_cls`` and
+    ``watchdog`` work as in :func:`offload_probe`; every ordered offload
+    takes them.
     """
-    from ..db.btree import BPlusTree
-    from .programs import (tree_dispatcher_program, tree_walker_program)
-
     if not isinstance(tree, BPlusTree):
         raise WidxFault("offload_tree_search expects a BPlusTree")
-    if not probe_column.is_materialized:
-        raise WidxFault("probe keys must be materialized in simulated memory")
-    if config.widx.mode == "coupled":
-        raise WidxFault("tree search has no hashing stage to couple; use "
-                        "'shared' or 'private'")
-    total_keys = len(probe_column.values)
-    probes = total_keys if probes is None else min(probes, total_keys)
-    if probes < 1:
-        raise WidxFault("need at least one probe")
-
-    space = tree.space
-    widx = config.widx
-    n = widx.num_walkers
-    key_bytes = probe_column.dtype.nbytes
-
-    reference = []
-    for row in range(probes):
-        payload = tree.search(int(probe_column.values[row]))
-        if payload is not None:
-            reference.append(payload)
-
-    run_id = next(_offload_counter)
-    out_region = space.allocate(f"{tree.name}:out{run_id}",
-                                max(64, 8 * (len(reference) + 1)), align=64)
-    try:
-        stride = n if widx.mode == "private" else 1
-        dispatcher = tree_dispatcher_program(key_bytes, stride_keys=stride)
-        walker = tree_walker_program()
-        producer = producer_program(8)
-
-        hierarchy = memory if memory is not None else _hierarchy_for(config)
-        if warm:
-            hierarchy.warm_range(tree.region.base, tree.footprint_bytes)
-        machine = _ordered_machine(config, hierarchy, space)
-        machine.build(dispatcher, walker, producer)
-
-        base = probe_column.region.base
-        regs = dispatcher.config_registers
-
-        def dispatch_config(unit_index: int, unit_stride: int):
-            first = unit_index
-            count = 0 if first >= probes else \
-                (probes - first + unit_stride - 1) // unit_stride
-            return {
-                regs["key_cursor"]: base + first * key_bytes,
-                regs["key_count"]: count,
-                regs["root"]: tree.root,
-            }
-
-        if widx.mode == "shared":
-            machine.configure_unit("dispatcher", dispatch_config(0, 1))
-        else:
-            for i in range(n):
-                machine.configure_unit(f"dispatcher{i}", dispatch_config(i, n))
-        machine.configure_unit(
-            "producer",
-            {producer.config_registers["out_cursor"]: out_region.base})
-
-        run = machine.run(expected_tuples=probes, watchdog=watchdog)
-        return _ordered_outcome(
-            space, machine, hierarchy, run, out_region, reference, validate,
-            {"dispatcher": dispatcher, "walker": walker,
-             "producer": producer}, "tree")
-    finally:
-        space.release(out_region)
+    spec = _search(tree, probe_column, probes, config, "tree search",
+                   tree_dispatcher_program, tree_walker_program(),
+                   warm=[(tree.region.base, tree.footprint_bytes)],
+                   unit_regs={"root": tree.root})
+    return _offload(spec, config, warm, validate, memory, engine, unit_cls,
+                    watchdog)
 
 
 def offload_tree_ranges(tree, ranges, *,
@@ -388,6 +466,7 @@ def offload_tree_ranges(tree, ranges, *,
                         warm: bool = True,
                         validate: bool = True,
                         memory: Optional[MemoryHierarchy] = None,
+                        engine=None, unit_cls=None,
                         watchdog: Optional[Watchdog] = None
                         ) -> OffloadOutcome:
     """Accelerate multi-range B+-tree scans (IN-lists, multi-range
@@ -395,99 +474,14 @@ def offload_tree_ranges(tree, ranges, *,
     scans one whole range — inter-range parallelism, the range analogue of
     the paper's inter-key parallelism.
     """
-    from ..db.btree import BPlusTree, KEY_PAD
-    from .programs import (range_dispatcher_program,
-                           tree_range_walker_program)
-
     if not isinstance(tree, BPlusTree):
         raise WidxFault("offload_tree_ranges expects a BPlusTree")
-    if config.widx.mode != "shared":
-        raise WidxFault("range scans use the shared-dispatcher organization")
-    ranges = [(int(low), int(high)) for low, high in ranges]
-    if not ranges:
-        raise WidxFault("need at least one range")
-    for low, high in ranges:
-        if not 0 <= low <= high < KEY_PAD:
-            raise WidxFault(f"bad range [{low}, {high}]")
-
-    space = tree.space
-    n = config.widx.num_walkers
-    run_id = next(_offload_counter)
-
-    reference: List[int] = []
-    for low, high in ranges:
-        reference.extend(payload for _key, payload
-                         in tree.range_scan(low, high))
-
-    range_region = space.allocate(f"{tree.name}:ranges{run_id}",
-                                  max(64, 8 * len(ranges)), align=64)
-    try:
-        for offset, (low, high) in enumerate(ranges):
-            space.memory.write_u32(range_region.base + 8 * offset, low)
-            space.memory.write_u32(range_region.base + 8 * offset + 4, high)
-        out_region = space.allocate(f"{tree.name}:rout{run_id}",
-                                    max(64, 8 * (len(reference) + 1)),
-                                    align=64)
-        try:
-            dispatcher = range_dispatcher_program()
-            walker = tree_range_walker_program()
-            producer = producer_program(8)
-
-            hierarchy = memory if memory is not None else _hierarchy_for(config)
-            if warm:
-                hierarchy.warm_range(tree.region.base, tree.footprint_bytes)
-            machine = _ordered_machine(config, hierarchy, space)
-            machine.build(dispatcher, walker, producer)
-            regs = dispatcher.config_registers
-            machine.configure_unit("dispatcher", {
-                regs["range_cursor"]: range_region.base,
-                regs["range_count"]: len(ranges),
-                regs["root"]: tree.root,
-            })
-            machine.configure_unit(
-                "producer",
-                {producer.config_registers["out_cursor"]: out_region.base})
-
-            run = machine.run(expected_tuples=len(ranges),
-                              watchdog=watchdog)
-            return _ordered_outcome(
-                space, machine, hierarchy, run, out_region, reference,
-                validate, {"dispatcher": dispatcher, "walker": walker,
-                           "producer": producer}, "range")
-        finally:
-            space.release(out_region)
-    finally:
-        space.release(range_region)
-
-
-def _ordered_machine(config, hierarchy, space, engine=None, unit_cls=None):
-    machine_kwargs = {} if unit_cls is None else {"unit_cls": unit_cls}
-    return WidxMachine(config, hierarchy, space.memory, engine=engine,
-                       **machine_kwargs)
-
-
-def _read_payloads(space, out_region, run) -> List[int]:
-    return [space.memory.read_u64(out_region.base + 8 * i)
-            for i in range(run.matches)]
-
-
-def _ordered_outcome(space, machine, hierarchy, run, out_region, reference,
-                     validate, programs, label) -> OffloadOutcome:
-    payloads = _read_payloads(space, out_region, run)
-    validated: Optional[bool] = None
-    if validate:
-        validated = sorted(payloads) == sorted(reference)
-        if not validated:
-            raise WidxFault(
-                f"{label} offload diverged: {len(payloads)} emitted vs "
-                f"{len(reference)} expected")
-    registry = StatsRegistry()
-    hierarchy.register_into(registry, "mem")
-    machine.register_into(registry)
-    machine.engine.register_into(registry, "sim.engine")
-    return OffloadOutcome(run=run, payloads=payloads, validated=validated,
-                          memory=hierarchy, programs=programs,
-                          stats=registry.to_dict())
+    spec = _range_scan(tree, ranges, "tree range",
+                       range_dispatcher_program(), tree_range_walker_program(),
+                       warm=[(tree.region.base, tree.footprint_bytes)],
+                       unit_regs={"root": tree.root})
+    return _offload(spec, config, warm, validate, memory, engine, unit_cls,
+                    watchdog)
 
 
 def offload_trie_search(trie, probe_column: Column, *,
@@ -507,83 +501,16 @@ def offload_trie_search(trie, probe_column: Column, *,
     (``prefetch``), then probes depth by depth until a tag matches — the
     Cuckoo-Trie fetch pattern run on a Widx unit.
     """
-    from ..db.trie import MlpTrie
-    from .programs import key_dispatcher_program, trie_walker_program
-
     if not isinstance(trie, MlpTrie):
         raise WidxFault("offload_trie_search expects an MlpTrie")
-    if not probe_column.is_materialized:
-        raise WidxFault("probe keys must be materialized in simulated memory")
-    if config.widx.mode == "coupled":
-        raise WidxFault("trie search has no hashing stage to couple; use "
-                        "'shared' or 'private'")
-    total_keys = len(probe_column.values)
-    probes = total_keys if probes is None else min(probes, total_keys)
-    if probes < 1:
-        raise WidxFault("need at least one probe")
-
-    space = trie.space
-    widx = config.widx
-    n = widx.num_walkers
-    key_bytes = probe_column.dtype.nbytes
-
-    reference = []
-    for row in range(probes):
-        payload = trie.search(int(probe_column.values[row]))
-        if payload is not None:
-            reference.append(payload)
-
-    run_id = next(_offload_counter)
-    out_region = space.allocate(f"{trie.name}:out{run_id}",
-                                max(64, 8 * (len(reference) + 1)), align=64)
-    try:
-        stride = n if widx.mode == "private" else 1
-        dispatcher = key_dispatcher_program(key_bytes, stride_keys=stride)
-        walker = trie_walker_program(trie.hash_spec, prefetch=prefetch)
-        producer = producer_program(8)
-
-        hierarchy = memory if memory is not None else _hierarchy_for(config)
-        if warm:
-            hierarchy.warm_range(trie.buckets.base, trie.buckets.size)
-            if trie.overflow is not None:
-                hierarchy.warm_range(trie.overflow.base, trie.overflow.size)
-        machine = _ordered_machine(config, hierarchy, space, engine, unit_cls)
-        machine.build(dispatcher, walker, producer)
-
-        base = probe_column.region.base
-        regs = dispatcher.config_registers
-
-        def dispatch_config(unit_index: int, unit_stride: int):
-            first = unit_index
-            count = 0 if first >= probes else \
-                (probes - first + unit_stride - 1) // unit_stride
-            return {
-                regs["key_cursor"]: base + first * key_bytes,
-                regs["key_count"]: count,
-            }
-
-        if widx.mode == "shared":
-            machine.configure_unit("dispatcher", dispatch_config(0, 1))
-        else:
-            for i in range(n):
-                machine.configure_unit(f"dispatcher{i}", dispatch_config(i, n))
-        walker_regs = walker.config_registers
-        for i in range(n):
-            machine.configure_unit(f"walker{i}", {
-                walker_regs["bucket_base"]: trie.buckets.base,
-                walker_regs["bucket_mask"]: trie.bucket_mask,
-            })
-        machine.configure_unit(
-            "producer",
-            {producer.config_registers["out_cursor"]: out_region.base})
-
-        run = machine.run(expected_tuples=probes, watchdog=watchdog)
-        return _ordered_outcome(
-            space, machine, hierarchy, run, out_region, reference, validate,
-            {"dispatcher": dispatcher, "walker": walker,
-             "producer": producer}, "trie")
-    finally:
-        space.release(out_region)
+    spec = _search(trie, probe_column, probes, config, "trie search",
+                   key_dispatcher_program,
+                   trie_walker_program(trie.hash_spec, prefetch=prefetch),
+                   warm=_regions(trie.buckets, trie.overflow),
+                   walker_regs={"bucket_base": trie.buckets.base,
+                                "bucket_mask": trie.bucket_mask})
+    return _offload(spec, config, warm, validate, memory, engine, unit_cls,
+                    watchdog)
 
 
 def offload_trie_ranges(trie, ranges, *,
@@ -601,79 +528,15 @@ def offload_trie_ranges(trie, ranges, *,
     dispatcher streams (start, high) records and each walker streams one
     chain segment, emitting payloads while the stored key stays in range.
     """
-    from ..db.trie import MlpTrie
-    from .programs import (trie_range_dispatcher_program,
-                           trie_range_walker_program)
-
     if not isinstance(trie, MlpTrie):
         raise WidxFault("offload_trie_ranges expects an MlpTrie")
-    if config.widx.mode != "shared":
-        raise WidxFault("range scans use the shared-dispatcher organization")
-    ranges = [(int(low), int(high)) for low, high in ranges]
-    if not ranges:
-        raise WidxFault("need at least one range")
-    for low, high in ranges:
-        if not 0 <= low <= high:
-            raise WidxFault(f"bad range [{low}, {high}]")
-
-    space = trie.space
-    run_id = next(_offload_counter)
-
-    reference: List[int] = []
-    for low, high in ranges:
-        reference.extend(payload for _key, payload
-                         in trie.range_scan(low, high))
-
-    range_region = space.allocate(f"{trie.name}:ranges{run_id}",
-                                  max(64, 16 * len(ranges)), align=64)
-    try:
-        for offset, (low, high) in enumerate(ranges):
-            start = trie.search_start(low)
-            space.memory.write_u64(range_region.base + 16 * offset, start)
-            space.memory.write_u64(range_region.base + 16 * offset + 8, high)
-        out_region = space.allocate(f"{trie.name}:rout{run_id}",
-                                    max(64, 8 * (len(reference) + 1)),
-                                    align=64)
-        try:
-            dispatcher = trie_range_dispatcher_program()
-            walker = trie_range_walker_program()
-            producer = producer_program(8)
-
-            hierarchy = memory if memory is not None else _hierarchy_for(config)
-            if warm:
-                hierarchy.warm_range(trie.buckets.base, trie.buckets.size)
-                if trie.overflow is not None:
-                    hierarchy.warm_range(trie.overflow.base,
-                                         trie.overflow.size)
-            machine = _ordered_machine(config, hierarchy, space, engine,
-                                       unit_cls)
-            machine.build(dispatcher, walker, producer)
-            regs = dispatcher.config_registers
-            machine.configure_unit("dispatcher", {
-                regs["range_cursor"]: range_region.base,
-                regs["range_count"]: len(ranges),
-            })
-            machine.configure_unit(
-                "producer",
-                {producer.config_registers["out_cursor"]: out_region.base})
-
-            run = machine.run(expected_tuples=len(ranges),
-                              watchdog=watchdog)
-            return _ordered_outcome(
-                space, machine, hierarchy, run, out_region, reference,
-                validate, {"dispatcher": dispatcher, "walker": walker,
-                           "producer": producer}, "trie range")
-        finally:
-            space.release(out_region)
-    finally:
-        space.release(range_region)
-
-
-def _warm_wormhole(hierarchy, index) -> None:
-    hierarchy.warm_range(index.leaves.base, index.leaves.size)
-    hierarchy.warm_range(index.meta.base, index.meta.size)
-    if index.overflow is not None:
-        hierarchy.warm_range(index.overflow.base, index.overflow.size)
+    spec = _range_scan(trie, ranges, "trie range",
+                       trie_range_dispatcher_program(),
+                       trie_range_walker_program(), width=8, limit=None,
+                       plan=trie.search_start,
+                       warm=_regions(trie.buckets, trie.overflow))
+    return _offload(spec, config, warm, validate, memory, engine, unit_cls,
+                    watchdog)
 
 
 def offload_wormhole_search(index, probe_column: Column, *,
@@ -692,82 +555,17 @@ def offload_wormhole_search(index, probe_column: Column, *,
     then walks at most a few leaves forward — the collapsed pointer
     chain, run on a Widx unit.
     """
-    from ..db.wormhole import WormholeIndex
-    from .programs import tree_dispatcher_program, wormhole_walker_program
-
     if not isinstance(index, WormholeIndex):
         raise WidxFault("offload_wormhole_search expects a WormholeIndex")
-    if not probe_column.is_materialized:
-        raise WidxFault("probe keys must be materialized in simulated memory")
-    if config.widx.mode == "coupled":
-        raise WidxFault("wormhole search has no hashing stage to couple; "
-                        "use 'shared' or 'private'")
-    total_keys = len(probe_column.values)
-    probes = total_keys if probes is None else min(probes, total_keys)
-    if probes < 1:
-        raise WidxFault("need at least one probe")
-
-    space = index.space
-    widx = config.widx
-    n = widx.num_walkers
-    key_bytes = probe_column.dtype.nbytes
-
-    reference = []
-    for row in range(probes):
-        payload = index.search(int(probe_column.values[row]))
-        if payload is not None:
-            reference.append(payload)
-
-    run_id = next(_offload_counter)
-    out_region = space.allocate(f"{index.name}:out{run_id}",
-                                max(64, 8 * (len(reference) + 1)), align=64)
-    try:
-        stride = n if widx.mode == "private" else 1
-        dispatcher = tree_dispatcher_program(key_bytes, stride_keys=stride)
-        walker = wormhole_walker_program(index.hash_spec)
-        producer = producer_program(8)
-
-        hierarchy = memory if memory is not None else _hierarchy_for(config)
-        if warm:
-            _warm_wormhole(hierarchy, index)
-        machine = _ordered_machine(config, hierarchy, space, engine, unit_cls)
-        machine.build(dispatcher, walker, producer)
-
-        base = probe_column.region.base
-        regs = dispatcher.config_registers
-
-        def dispatch_config(unit_index: int, unit_stride: int):
-            first = unit_index
-            count = 0 if first >= probes else \
-                (probes - first + unit_stride - 1) // unit_stride
-            return {
-                regs["key_cursor"]: base + first * key_bytes,
-                regs["key_count"]: count,
-                regs["root"]: index.first_leaf,
-            }
-
-        if widx.mode == "shared":
-            machine.configure_unit("dispatcher", dispatch_config(0, 1))
-        else:
-            for i in range(n):
-                machine.configure_unit(f"dispatcher{i}", dispatch_config(i, n))
-        walker_regs = walker.config_registers
-        for i in range(n):
-            machine.configure_unit(f"walker{i}", {
-                walker_regs["meta_base"]: index.meta.base,
-                walker_regs["meta_mask"]: index.meta_mask,
-            })
-        machine.configure_unit(
-            "producer",
-            {producer.config_registers["out_cursor"]: out_region.base})
-
-        run = machine.run(expected_tuples=probes, watchdog=watchdog)
-        return _ordered_outcome(
-            space, machine, hierarchy, run, out_region, reference, validate,
-            {"dispatcher": dispatcher, "walker": walker,
-             "producer": producer}, "wormhole")
-    finally:
-        space.release(out_region)
+    spec = _search(index, probe_column, probes, config, "wormhole search",
+                   tree_dispatcher_program,
+                   wormhole_walker_program(index.hash_spec),
+                   warm=_regions(index.leaves, index.meta, index.overflow),
+                   unit_regs={"root": index.first_leaf},
+                   walker_regs={"meta_base": index.meta.base,
+                                "meta_mask": index.meta_mask})
+    return _offload(spec, config, warm, validate, memory, engine, unit_cls,
+                    watchdog)
 
 
 def offload_wormhole_ranges(index, ranges, *,
@@ -780,76 +578,17 @@ def offload_wormhole_ranges(index, ranges, *,
                             ) -> OffloadOutcome:
     """Accelerate multi-range wormhole scans: locate ``low``'s leaf via
     the MetaTrieHash, then stream the sorted leaf chain."""
-    from ..db.btree import KEY_PAD
-    from ..db.wormhole import WormholeIndex
-    from .programs import (range_dispatcher_program,
-                           wormhole_range_walker_program)
-
     if not isinstance(index, WormholeIndex):
         raise WidxFault("offload_wormhole_ranges expects a WormholeIndex")
-    if config.widx.mode != "shared":
-        raise WidxFault("range scans use the shared-dispatcher organization")
-    ranges = [(int(low), int(high)) for low, high in ranges]
-    if not ranges:
-        raise WidxFault("need at least one range")
-    for low, high in ranges:
-        if not 0 <= low <= high < KEY_PAD:
-            raise WidxFault(f"bad range [{low}, {high}]")
-
-    space = index.space
-    run_id = next(_offload_counter)
-
-    reference: List[int] = []
-    for low, high in ranges:
-        reference.extend(payload for _key, payload
-                         in index.range_scan(low, high))
-
-    range_region = space.allocate(f"{index.name}:ranges{run_id}",
-                                  max(64, 8 * len(ranges)), align=64)
-    try:
-        for offset, (low, high) in enumerate(ranges):
-            space.memory.write_u32(range_region.base + 8 * offset, low)
-            space.memory.write_u32(range_region.base + 8 * offset + 4, high)
-        out_region = space.allocate(f"{index.name}:rout{run_id}",
-                                    max(64, 8 * (len(reference) + 1)),
-                                    align=64)
-        try:
-            dispatcher = range_dispatcher_program()
-            walker = wormhole_range_walker_program(index.hash_spec)
-            producer = producer_program(8)
-
-            hierarchy = memory if memory is not None else _hierarchy_for(config)
-            if warm:
-                _warm_wormhole(hierarchy, index)
-            machine = _ordered_machine(config, hierarchy, space, engine,
-                                       unit_cls)
-            machine.build(dispatcher, walker, producer)
-            regs = dispatcher.config_registers
-            machine.configure_unit("dispatcher", {
-                regs["range_cursor"]: range_region.base,
-                regs["range_count"]: len(ranges),
-                regs["root"]: index.first_leaf,
-            })
-            walker_regs = walker.config_registers
-            for i in range(config.widx.num_walkers):
-                machine.configure_unit(f"walker{i}", {
-                    walker_regs["meta_base"]: index.meta.base,
-                    walker_regs["meta_mask"]: index.meta_mask,
-                })
-            machine.configure_unit(
-                "producer",
-                {producer.config_registers["out_cursor"]: out_region.base})
-
-            run = machine.run(expected_tuples=len(ranges),
-                              watchdog=watchdog)
-            return _ordered_outcome(
-                space, machine, hierarchy, run, out_region, reference,
-                validate, {"dispatcher": dispatcher, "walker": walker,
-                           "producer": producer}, "wormhole range")
-        finally:
-            space.release(out_region)
-    finally:
-        space.release(range_region)
+    spec = _range_scan(index, ranges, "wormhole range",
+                       range_dispatcher_program(),
+                       wormhole_range_walker_program(index.hash_spec),
+                       warm=_regions(index.leaves, index.meta, index.overflow),
+                       unit_regs={"root": index.first_leaf},
+                       walker_regs={"meta_base": index.meta.base,
+                                    "meta_mask": index.meta_mask})
+    return _offload(spec, config, warm, validate, memory, engine, unit_cls,
+                    watchdog)
 
 
 def offload_batched_tree(tree, probe_column: Column, *,
@@ -877,78 +616,27 @@ def offload_batched_tree(tree, probe_column: Column, *,
     The probe count is truncated to a whole number of batches (serving
     batches are fixed-size by construction).
     """
-    from ..db.btree import BPlusTree
-    from .programs import batched_tree_walker_program
-
     if not isinstance(tree, BPlusTree):
         raise WidxFault("offload_batched_tree expects a BPlusTree")
-    if not probe_column.is_materialized:
-        raise WidxFault("probe keys must be materialized in simulated memory")
-    total_keys = len(probe_column.values)
-    probes = total_keys if probes is None else min(probes, total_keys)
-    probes = (probes // batch) * batch
-    if probes < batch:
-        raise WidxFault(f"need at least one whole batch of {batch} probes")
-    batches = probes // batch
-
+    probes = _probe_count(probe_column, probes, batch)
+    keys = _keys(probe_column, probes)
+    staged: List[int] = []
+    for start in range(0, probes, batch):
+        group = keys[start:start + batch]
+        staged.extend(sorted(group) if sort_batches else group)
     # Batched descent is an autonomous-walker program: force the coupled
     # organization while keeping the caller's walker count.
     config = config.with_widx(mode="coupled")
-    space = tree.space
-    n = config.widx.num_walkers
-
-    staged: List[int] = []
-    for start in range(0, probes, batch):
-        group = [int(probe_column.values[start + i]) for i in range(batch)]
-        if sort_batches:
-            group.sort()
-        staged.extend(group)
-    reference = []
-    for key in staged:
-        payload = tree.search(key)
-        if payload is not None:
-            reference.append(payload)
-
-    run_id = next(_offload_counter)
-    key_region = space.allocate(f"{tree.name}:bkeys{run_id}",
-                                max(64, 4 * probes), align=64)
-    try:
-        for offset, key in enumerate(staged):
-            space.memory.write_u32(key_region.base + 4 * offset, key)
-        out_region = space.allocate(f"{tree.name}:bout{run_id}",
-                                    max(64, 8 * (len(reference) + 1)),
-                                    align=64)
-        try:
-            walker = batched_tree_walker_program(batch, stride_batches=n)
-            producer = producer_program(8)
-
-            hierarchy = memory if memory is not None else _hierarchy_for(config)
-            if warm:
-                hierarchy.warm_range(tree.region.base, tree.footprint_bytes)
-            machine = _ordered_machine(config, hierarchy, space, engine,
-                                       unit_cls)
-            machine.build(None, walker, producer)
-
-            regs = walker.config_registers
-            for i in range(n):
-                first = i
-                count = 0 if first >= batches else \
-                    (batches - first + n - 1) // n
-                machine.configure_unit(f"walker{i}", {
-                    regs["key_cursor"]: key_region.base + first * batch * 4,
-                    regs["batch_count"]: count,
-                    regs["root"]: tree.root,
-                })
-            machine.configure_unit(
-                "producer",
-                {producer.config_registers["out_cursor"]: out_region.base})
-
-            run = machine.run(expected_tuples=probes, watchdog=watchdog)
-            return _ordered_outcome(
-                space, machine, hierarchy, run, out_region, reference,
-                validate, {"walker": walker, "producer": producer},
-                "batched tree")
-        finally:
-            space.release(out_region)
-    finally:
-        space.release(key_region)
+    spec = _Traversal(
+        index=tree, label="batched tree", modes=("coupled",),
+        reference=[payload for payload in map(tree.search, staged)
+                   if payload is not None], tuples=probes,
+        dispatcher=None,
+        walker=batched_tree_walker_program(
+            batch, stride_batches=config.widx.num_walkers),
+        stream=("key_cursor", "batch_count"), items=probes // batch,
+        item_bytes=4 * batch, staging=("bkeys", 4, staged), out="bout",
+        warm=[(tree.region.base, tree.footprint_bytes)],
+        unit_regs={"root": tree.root})
+    return _offload(spec, config, warm, validate, memory, engine, unit_cls,
+                    watchdog)

@@ -31,7 +31,7 @@ from ..obs import Breakdown, Counter
 from ..sim.engine import Engine
 from ..sim.resources import BoundedQueue, QUEUE_CLOSED
 from .decode import (K_ADD, K_ADD_SHF, K_AND, K_AND_SHF, K_ALU_FIRST, K_BA,
-                     K_BLE, K_CMP, K_CMP_LE, K_EMIT, K_HALT, K_LD, K_SHL,
+                     K_BLE, K_CMP, K_CMP_LE, K_EMIT, K_LD, K_SHL,
                      K_SHR, K_ST, K_TOUCH, K_XOR, decoded_program)
 from .isa import Instruction, NUM_REGISTERS, Opcode
 from .program import Program

@@ -17,7 +17,8 @@ import zlib
 import pytest
 
 from repro.cpu.timing import CoreTimingResult
-from repro.harness.runner import MeasurementCache, RunSettings
+from repro.harness.runner import (MeasurementCache, RunSettings,
+                                  baseline_point, index_point)
 from repro.workloads.ordered_kernel import ORDERED_CLASSES
 
 #: CRC-32 of :func:`result_text` per fig-indexes baseline point at
@@ -50,8 +51,8 @@ def cache():
 
 def measure(cache, row: str, core: str) -> CoreTimingResult:
     if row == "hash":
-        return cache.baseline("kernel", "Small", core)
-    return cache.index(f"{row}:Small", core)
+        return cache.measure(baseline_point("kernel", "Small", core))
+    return cache.measure(index_point(f"{row}:Small", core))
 
 
 def test_every_fig_indexes_baseline_point_is_pinned():

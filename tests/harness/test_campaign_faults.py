@@ -11,8 +11,8 @@ import pytest
 
 from repro.errors import CampaignInterrupted, MeasurementFailed
 from repro.harness import campaign as campaign_module
-from repro.harness.campaign import (Campaign, RetryPolicy, kernel_points,
-                                    _measure_point)
+from repro.harness.campaign import (Campaign, RetryPolicy, baseline_point,
+                                    kernel_points)
 from repro.harness.cachestore import encode_measurement
 from repro.harness.chaos import ChaosSpec
 from repro.harness.runner import MeasurementCache, RunSettings
@@ -100,14 +100,15 @@ def test_retry_exhaustion_poisons_and_manifests():
 
     # Poisoned points fail fast instead of silently re-simulating.
     with pytest.raises(MeasurementFailed, match="poisoned"):
-        cache.baseline("kernel", "Small", "ooo")
+        cache.measure(baseline_point("kernel", "Small", "ooo"))
 
     # A new campaign is a fresh chance: poison clears, points measure.
     clean = Campaign(cache, policy=RetryPolicy(max_retries=0))
     recovered = clean.run(POINTS, jobs=1)
     assert recovered.ok
     assert recovered.measured_points == len(POINTS)
-    assert cache.baseline("kernel", "Small", "ooo").cycles_per_tuple > 0
+    assert cache.measure(
+        baseline_point("kernel", "Small", "ooo")).cycles_per_tuple > 0
 
 
 def test_persistent_worker_failure_degrades_to_serial():
@@ -139,8 +140,8 @@ def test_chaos_recovered_results_bit_identical_to_fault_free():
     assert outcome.ok
 
     for point in POINTS:
-        clean = encode_measurement(_measure_point(clean_cache, point))
-        recovered = encode_measurement(_measure_point(chaos_cache, point))
+        clean = encode_measurement(clean_cache.measure(point))
+        recovered = encode_measurement(chaos_cache.measure(point))
         assert clean == recovered, point
 
 
@@ -164,7 +165,7 @@ def test_keyboard_interrupt_serial_raises_campaign_interrupted(monkeypatch):
     def interrupt(*_args, **_kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(campaign_module, "_measure_point", interrupt)
+    monkeypatch.setattr(cache, "measure", interrupt)
     campaign = Campaign(cache)
     with pytest.raises(CampaignInterrupted):
         campaign.run(POINTS, jobs=1)
@@ -194,6 +195,6 @@ def test_chaos_killed_serve_point_retries_bit_identical():
     assert outcome.measured_points == len(serve_points)
 
     for point in serve_points:
-        clean = encode_measurement(_measure_point(clean_cache, point))
-        recovered = encode_measurement(_measure_point(chaos_cache, point))
+        clean = encode_measurement(clean_cache.measure(point))
+        recovered = encode_measurement(chaos_cache.measure(point))
         assert clean == recovered, point

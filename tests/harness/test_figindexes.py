@@ -19,8 +19,8 @@ import pytest
 
 from repro.errors import SimulationHang
 from repro.harness import figindexes, figserve
-from repro.harness.campaign import (Campaign, RetryPolicy, _measure_point,
-                                    index_point)
+from repro.harness.campaign import (Campaign, RetryPolicy, index_point,
+                                    serve_point)
 from repro.harness.cachestore import encode_measurement
 from repro.harness.chaos import ChaosSpec
 from repro.harness.cli import main
@@ -101,15 +101,33 @@ def test_tight_watchdog_limits_hang_ordered_widx_points(index_class, mode):
                              watchdog_limits=WatchdogLimits(max_cycles=50.0))
     name = f"{index_class}:Small"
     with pytest.raises(SimulationHang) as caught:
-        cache.index(name, "widx", walkers=2, mode=mode)
+        cache.measure(index_point(name, "widx", walkers=2, mode=mode))
     point = ("index", "ordered", name, "widx", 2, mode)
     assert f"while measuring point {point!r}" in caught.value.__notes__
     assert cache.measured_points == 0
 
 
+@pytest.mark.parametrize("kind,name,backend,mode", [
+    ("kernel", "Small", "widx", "shared"),
+    ("ordered", "batched:Small", "batched", "coupled")])
+def test_tight_watchdog_limits_hang_widx_serve_points(kind, name, backend,
+                                                      mode):
+    """Serving calibrations run real offloads, so the cache's watchdog
+    budget must reach them too — the batched tree backend included."""
+    cache = MeasurementCache(runs=SETTINGS,
+                             watchdog_limits=WatchdogLimits(max_cycles=50.0))
+    point = serve_point(kind, name, backend, 4, 2, mode)
+    with pytest.raises(SimulationHang) as caught:
+        cache.measure(point)
+    assert (f"while measuring point {point.cache_tuple()!r}"
+            in caught.value.__notes__)
+    assert cache.measured_points == 0
+
+
 def test_ordered_widx_point_without_limits_runs_the_default_watchdog():
     cache = MeasurementCache(runs=SETTINGS)
-    outcome = cache.index("trie:Small", "widx", walkers=2, mode="shared")
+    outcome = cache.measure(index_point("trie:Small", "widx", walkers=2,
+                                        mode="shared"))
     index, probes = MeasurementCache(runs=SETTINGS).ordered_workload(
         "trie:Small")
     direct = offload_trie_search(
@@ -198,8 +216,8 @@ def test_chaos_killed_index_point_retries_bit_identical():
     assert outcome.measured_points == len(points)
 
     for point in points:
-        clean = encode_measurement(_measure_point(clean_cache, point))
-        recovered = encode_measurement(_measure_point(chaos_cache, point))
+        clean = encode_measurement(clean_cache.measure(point))
+        recovered = encode_measurement(chaos_cache.measure(point))
         assert clean == recovered, point
 
 

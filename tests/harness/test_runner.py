@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationHang
+from repro.harness import runner
 from repro.harness.cachestore import CacheStore
 from repro.harness.runner import (DEFAULT_RUNS, MeasurementCache,
-                                  RunSettings, WorkloadMeasurement, geomean,
-                                  measurement_key, measure_kernel)
+                                  RunSettings, WorkloadMeasurement,
+                                  baseline_point, geomean, index_point,
+                                  measurement_key, measure_kernel,
+                                  widx_point)
 
 
 def test_run_settings_measured():
@@ -87,12 +90,12 @@ def test_point_keys_are_pinned(point, expected):
 def test_store_backed_cache_survives_process_restart(tmp_path):
     runs = RunSettings(probes=400, warmup=100)
     first = MeasurementCache(runs=runs, store=CacheStore(str(tmp_path)))
-    measured = first.baseline("kernel", "Small", "ooo")
+    measured = first.measure(baseline_point("kernel", "Small", "ooo"))
     assert first.measured_points == 1
 
     # A fresh cache (new "process") on the same store must not re-measure.
     second = MeasurementCache(runs=runs, store=CacheStore(str(tmp_path)))
-    restored = second.baseline("kernel", "Small", "ooo")
+    restored = second.measure(baseline_point("kernel", "Small", "ooo"))
     assert second.measured_points == 0
     assert second.store_hits == 1
     assert restored == measured  # CoreTimingResult round-trips exactly
@@ -113,19 +116,42 @@ def test_kernel_workload_cached_by_size():
 
 def test_baseline_and_widx_measurements_cached():
     cache = MeasurementCache(runs=RunSettings(probes=400, warmup=100))
-    a = cache.baseline("kernel", "Small", "ooo")
-    b = cache.baseline("kernel", "Small", "ooo")
+    a = cache.measure(baseline_point("kernel", "Small", "ooo"))
+    b = cache.measure(baseline_point("kernel", "Small", "ooo"))
     assert a is b
-    w1 = cache.widx("kernel", "Small", 2)
-    w2 = cache.widx("kernel", "Small", 2)
+    w1 = cache.measure(widx_point("kernel", "Small", 2))
+    w2 = cache.measure(widx_point("kernel", "Small", 2))
     assert w1 is w2
-    assert cache.widx("kernel", "Small", 1) is not w1
+    assert cache.measure(widx_point("kernel", "Small", 1)) is not w1
+    assert cache.measured_points == 3
 
 
 def test_unknown_query_name_rejected():
     cache = MeasurementCache(runs=RunSettings(probes=400, warmup=100))
     with pytest.raises(KeyError):
-        cache.baseline("query", "tpch:999", "ooo")
+        cache.measure(baseline_point("query", "tpch:999", "ooo"))
+
+
+def test_unknown_ordered_core_rejected():
+    cache = MeasurementCache(runs=RunSettings(probes=400, warmup=100))
+    with pytest.raises(ConfigError, match="unknown ordered-index core"):
+        cache.measure(index_point("trie:Small", "gpu"))
+
+
+def test_hang_on_a_baseline_point_names_the_point(monkeypatch):
+    """Every op shares one measure path, so the point note that Widx
+    hangs carry reaches baseline points too."""
+    def hang(*_args, **_kwargs):
+        raise SimulationHang("wedged")
+
+    monkeypatch.setattr(runner, "measure_indexing", hang)
+    cache = MeasurementCache(runs=RunSettings(probes=400, warmup=100))
+    point = baseline_point("kernel", "Small", "ooo")
+    with pytest.raises(SimulationHang) as caught:
+        cache.measure(point)
+    assert (f"while measuring point {point.cache_tuple()!r}"
+            in caught.value.__notes__)
+    assert cache.measured_points == 0
 
 
 def test_measure_kernel_populates_everything():

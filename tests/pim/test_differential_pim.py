@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG
 from repro.mem.pimside import PimBankMemory
-from repro.pim import (ReferencePimUnit, offload_probe_pim, pim_config,
-                       use_reference_pim_memory)
+from repro.pim import ReferencePimUnit, pim_config, use_reference_pim_memory
 from repro.serve.faults import WalkerFaultModel
 from repro.serve.policies import parse_policy
 from repro.serve.service import ServiceModel, measure_service
@@ -141,18 +139,6 @@ def test_pim_fallback_to_host_matches_reference_results(space):
     assert optimized.fell_back and reference.fell_back
     assert tuple(optimized.payloads) == tuple(reference.payloads)
     assert optimized.run.matches == reference.run.matches
-
-
-def test_pim_wrapper_pins_placement_and_matches_explicit_config(space):
-    """``offload_probe_pim`` on a host-placed config is the same
-    simulation as ``offload_probe`` on the explicit pim config."""
-    index, keys, _truth = build_direct_index(space, num_keys=1500)
-    column = materialized_probe_column(space, keys, count=PROBES)
-    via_wrapper = offload_probe_pim(index, column, config=DEFAULT_CONFIG,
-                                    probes=PROBES)
-    explicit = offload_probe(index, column, config=pim_config(),
-                             probes=PROBES)
-    assert outcome_key(via_wrapper) == outcome_key(explicit)
 
 
 # ---------------------------------------------------------------------------

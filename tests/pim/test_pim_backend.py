@@ -217,9 +217,9 @@ def test_measure_service_pim_backend_charges_the_launch(space):
 
 def test_measurement_cache_pim_point_roundtrip():
     cache = MeasurementCache(runs=QUICK)
-    first = cache.pim("kernel", "Small", 2, 4)
+    first = cache.measure(pim_point("kernel", "Small", 2, 4))
     assert cache.measured_points == 1
-    again = cache.pim("kernel", "Small", 2, 4)
+    again = cache.measure(pim_point("kernel", "Small", 2, 4))
     assert cache.measured_points == 1  # cache hit, no re-simulation
     assert again.run.total_cycles == first.run.total_cycles
     assert first.run.config_cycles >= DEFAULT_CONFIG.pim.launch_cycles

@@ -27,7 +27,8 @@ import zlib
 import pytest
 
 from repro.harness import figindexes, figresilience, figserve
-from repro.harness.runner import MeasurementCache, RunSettings
+from repro.harness.runner import (MeasurementCache, RunSettings, index_point,
+                                  widx_point)
 from repro.serve.faults import WalkerFaultModel
 from repro.serve.policies import parse_policy
 from repro.serve.simulate import ResilienceConfig, run_open_loop
@@ -144,9 +145,11 @@ def serve_levels(cache):
 def widx_outcome(cache, row: str):
     walkers = figindexes.INDEX_WALKERS
     if row == "hash":
-        return cache.widx("kernel", figindexes.INDEX_SIZE, walkers, "shared")
-    return cache.index(f"{row}:{figindexes.INDEX_SIZE}", "widx", walkers,
-                       figindexes._widx_mode(row))
+        return cache.measure(widx_point("kernel", figindexes.INDEX_SIZE,
+                                        walkers, "shared"))
+    return cache.measure(index_point(f"{row}:{figindexes.INDEX_SIZE}",
+                                     "widx", walkers,
+                                     figindexes._widx_mode(row)))
 
 
 def test_every_serve_sweep_level_is_bit_identical(cache):

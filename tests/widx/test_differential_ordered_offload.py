@@ -1,8 +1,8 @@
 """Differential tests for the ordered-index zoo offload programs.
 
-Every new traversal class — the MLP-friendly trie, the hash-accelerated
-wormhole, and the level-wise batched B+-tree — gets the same wall the
-hash and B+-tree offloads got:
+Every ordered traversal class — the B+-tree, the MLP-friendly trie, the
+hash-accelerated wormhole, and the level-wise batched B+-tree — gets the
+same wall the hash offload got:
 
 * **Functional**: the payload multiset an offloaded walker run emits
   (``validate=False``, so the offload's own cross-check is out of the
@@ -32,7 +32,8 @@ from repro.db.wormhole import WormholeIndex
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.reference import use_reference_arrays
 from repro.sim.reference import ReferenceEngine
-from repro.widx.offload import (offload_batched_tree, offload_trie_ranges,
+from repro.widx.offload import (offload_batched_tree, offload_tree_ranges,
+                                offload_tree_search, offload_trie_ranges,
                                 offload_trie_search,
                                 offload_wormhole_ranges,
                                 offload_wormhole_search)
@@ -42,6 +43,7 @@ from repro.widx.reference import ReferenceWidxUnit
 SHAPES = [(3, 8), (5, 60), (7, 400)]
 
 INDEX_CLASSES = {
+    "btree": (BPlusTree, offload_tree_search),
     "trie": (MlpTrie, offload_trie_search),
     "wormhole": (WormholeIndex, offload_wormhole_search),
 }
@@ -135,6 +137,22 @@ def test_search_all_misses_emit_nothing(space, index_class):
 
 @pytest.mark.parametrize("seed,num_keys", SHAPES)
 @pytest.mark.parametrize("walkers", [1, 3])
+def test_tree_range_payloads_match_functional_scan(space, seed, num_keys,
+                                                   walkers):
+    tree, keys, _truth = build_index(space, BPlusTree, seed, num_keys)
+    ranges = random_ranges(keys, seed, count=8)
+    expected = sorted(payload for low, high in ranges
+                      for _key, payload in tree.range_scan(low, high))
+    outcome = offload_tree_ranges(
+        tree, ranges,
+        config=DEFAULT_CONFIG.with_widx(num_walkers=walkers, mode="shared"),
+        validate=False)
+    assert sorted(outcome.payloads) == expected
+    assert outcome.run.matches == len(expected)
+
+
+@pytest.mark.parametrize("seed,num_keys", SHAPES)
+@pytest.mark.parametrize("walkers", [1, 3])
 def test_trie_range_payloads_match_functional_scan(space, seed, num_keys,
                                                    walkers):
     trie, keys, _truth = build_index(space, MlpTrie, seed, num_keys)
@@ -223,6 +241,17 @@ def test_search_identical_on_reference_stack_private_mode(space, index_class):
     optimized = offload(index, column, config=config)
     reference = offload(index, column, config=config,
                         **reference_kwargs(config))
+    assert outcome_key(optimized) == outcome_key(reference)
+
+
+def test_tree_ranges_identical_on_reference_stack(space):
+    tree, keys, _truth = build_index(space, BPlusTree, 7, 400)
+    ranges = random_ranges(keys, 7, count=6)
+    config = DEFAULT_CONFIG.with_widx(num_walkers=2, mode="shared")
+    optimized = offload_tree_ranges(tree, ranges, config=config)
+    reference = offload_tree_ranges(tree, ranges, config=config,
+                                    **reference_kwargs(config))
+    assert optimized.validated is reference.validated is True
     assert outcome_key(optimized) == outcome_key(reference)
 
 
