@@ -2,7 +2,7 @@
 Section 6.3 area/power numbers."""
 
 from benchmarks.conftest import run_once
-from repro.db.hashfn import ROBUST_HASH_32, ROBUST_HASH_64
+from repro.db.hashfn import ROBUST_HASH_64
 from repro.db.node import KERNEL_LAYOUT, MONETDB_LAYOUT
 from repro.harness.fig11 import run_area
 from repro.harness.report import Report

@@ -25,7 +25,7 @@ import json
 import sys
 from typing import List
 
-from . import (BENCHMARKS, FLOORS, REGRESSION_TOLERANCE, SCHEMA, BenchResult,
+from . import (BENCHMARKS, REGRESSION_TOLERANCE, SCHEMA, BenchResult,
                run_benchmarks)
 
 

@@ -40,7 +40,6 @@ class InOrderCore:
         self.memory = memory
         self.mispredict_penalty = mispredict_penalty
         self.load_use_penalty = load_use_penalty
-        self._position = 0              # stream position of the next uop
         self._last_mem_issue = -1.0
         self._issue_time = 0.0
         self._issued_this_cycle = 0
@@ -61,7 +60,7 @@ class InOrderCore:
     def execute(self, uops: Iterable[Uop]) -> None:
         """Execute one trace (may be called repeatedly).
 
-        Each uop's deps must name earlier uops of the same call.
+        Each uop's deps count back to earlier uops of the same call.
         """
         width = self.config.issue_width
         penalty = self.mispredict_penalty
@@ -73,7 +72,6 @@ class InOrderCore:
         l1d = memory.l1d.array
         block_bits = l1d.block_bits
         l1_present = l1d.present
-        base = self._position
         issue = self._issue_time
         this_cycle = self._issued_this_cycle
         last_mem = self._last_mem_issue
@@ -93,9 +91,9 @@ class InOrderCore:
                 ready = issue
                 # In-order issue stalls until producers complete.
                 for dep in deps:
-                    if not base <= dep < base + len(done_at):
-                        raise _foreign_dep(dep, base, base + len(done_at))
-                    done = done_at[dep - base]
+                    if not 0 < dep <= len(done_at):
+                        raise _foreign_dep(dep, len(done_at))
+                    done = done_at[-dep]
                     if done > ready:
                         ready = done
                 if ready > issue:
@@ -153,7 +151,6 @@ class InOrderCore:
                 if done > completion:
                     completion = done
         finally:
-            self._position = base + len(done_at)
             self._issue_time = issue
             self._issued_this_cycle = this_cycle
             self._last_mem_issue = last_mem

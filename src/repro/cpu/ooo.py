@@ -40,23 +40,19 @@ class OutOfOrderCore:
         self.config = config
         self.memory = memory
         self.mispredict_penalty = mispredict_penalty
-        self._position = 0              # stream position of the next uop
         self._dispatch_time = 0.0
         self._dispatched_this_cycle = 0
         self._frontend_stall_until = 0.0
         # Retire horizon (running max of completion times) of the last
-        # ``rob_entries`` uops, indexed by stream position mod the ROB
-        # size; 0.0 until the ROB has filled once, so the gate is a no-op.
+        # ``rob_entries`` uops; ``_slot`` is the next uop's entry.  0.0
+        # until the ROB has filled once, so the gate is a no-op.
         self._ring = [0.0] * config.rob_entries
+        self._slot = 0
         self._horizon = 0.0
         self.uops_executed = Counter()
         self.loads_issued = Counter()
         self.mem_stall_cycles = Counter(0.0)
         self.tlb_stall_cycles = Counter(0.0)
-
-    @property
-    def now(self) -> float:
-        return self._dispatch_time
 
     def register_into(self, registry, prefix: str) -> None:
         """Publish per-op execution counters under ``prefix``."""
@@ -68,7 +64,7 @@ class OutOfOrderCore:
     def execute(self, uops: Iterable[Uop]) -> None:
         """Execute one trace (may be called repeatedly).
 
-        Each uop's deps must name earlier uops of the same call.
+        Each uop's deps count back to earlier uops of the same call.
         """
         width = self.config.issue_width
         rob = self.config.rob_entries
@@ -78,7 +74,6 @@ class OutOfOrderCore:
         store = memory.store
         trap = memory.cfg.tlb.trap_cycles
         ring = self._ring
-        base = self._position
         dispatch = self._dispatch_time
         this_cycle = self._dispatched_this_cycle
         stall_until = self._frontend_stall_until
@@ -88,7 +83,7 @@ class OutOfOrderCore:
         tlb_stall = self.tlb_stall_cycles.value
         done_at: List[float] = []    # completion time per uop of this call
         record = done_at.append
-        slot = base % rob
+        slot = self._slot
         try:
             for kind, addr, deps, latency, mispredict in uops:
                 # Dispatch slot: in order, issue_width per cycle, after any
@@ -108,9 +103,9 @@ class OutOfOrderCore:
                     this_cycle = 1
                 ready = dispatch
                 for dep in deps:
-                    if not base <= dep < base + len(done_at):
-                        raise _foreign_dep(dep, base, base + len(done_at))
-                    done = done_at[dep - base]
+                    if not 0 < dep <= len(done_at):
+                        raise _foreign_dep(dep, len(done_at))
+                    done = done_at[-dep]
                     if done > ready:
                         ready = done
                 if kind is _LOAD:
@@ -146,7 +141,7 @@ class OutOfOrderCore:
                 if slot == rob:
                     slot = 0
         finally:
-            self._position = base + len(done_at)
+            self._slot = slot
             self._dispatch_time = dispatch
             self._dispatched_this_cycle = this_cycle
             self._frontend_stall_until = stall_until

@@ -21,7 +21,9 @@ dependency shapes are the experiment:
 
 Addresses are real simulated-memory addresses read from the live
 structures, so running a trace through the hierarchy reproduces true
-block reuse — the same property :mod:`repro.cpu.trace` relies on.
+block reuse — the same property :mod:`repro.cpu.trace` relies on.  Each
+generator walks its structure once, steering by the words its trace
+loads, each read once straight from simulated memory.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ from ..db.wormhole import WormholeIndex
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.physmem import NULL_PTR
 from .timing import CoreTimingResult, _time_traces
-from .trace import HOST_OPS_PER_HASH_STEP
-from .uops import TraceBuilder, Uop
+from .trace import TraceGenerator, address_chain
+from .uops import (BRANCH_PREV, LOOP_TAIL, LOOP_TAIL_MISPREDICTED, TEST_PREV,
+                   TraceBuilder, Uop)
 
 
 def warm_ordered_index(memory: MemoryHierarchy, index) -> None:
@@ -60,34 +63,7 @@ def warm_ordered_index(memory: MemoryHierarchy, index) -> None:
         raise TypeError(f"not an ordered index: {type(index).__name__}")
 
 
-class _OrderedTraceGenerator:
-    """Shared stream plumbing for the per-structure generators."""
-
-    #: Probes consumed per yielded trace (batched descent overrides).
-    tuples_per_trace = 1
-
-    def __init__(self, probe_keys: Column) -> None:
-        if not probe_keys.is_materialized:
-            raise ValueError("probe key column must be materialized in "
-                             "simulated memory before tracing")
-        self.probe_keys = probe_keys
-
-    def probe_uops(self, row: int, stream_base: int) -> List[Uop]:
-        """The uop trace for one probe, with deps offset by ``stream_base``."""
-        raise NotImplementedError
-
-    def stream(self, rows: Optional[Sequence[int]] = None) -> Iterator[List[Uop]]:
-        """Yield per-trace uop lists with stream-consistent dep indices."""
-        if rows is None:
-            rows = range(len(self.probe_keys.values))
-        base = 0
-        for row in rows:
-            uops = self.probe_uops(row, base)
-            yield uops
-            base += len(uops)
-
-
-class TreeTraceGenerator(_OrderedTraceGenerator):
+class TreeTraceGenerator(TraceGenerator):
     """Per-probe B+-tree descents: the dependent-load chain baseline."""
 
     def __init__(self, tree: BPlusTree, probe_keys: Column,
@@ -96,54 +72,56 @@ class TreeTraceGenerator(_OrderedTraceGenerator):
         self.tree = tree
         self.model_mispredicts = model_mispredicts
 
-    def probe_uops(self, row: int, stream_base: int) -> List[Uop]:
+    def probe_uops(self, row: int) -> List[Uop]:
         """One root-to-leaf descent: a load per level, each dependent
         on its parent's load — the pointer chase an OoO window can only
-        overlap *across* probes, never within one."""
+        overlap *across* probes, never within one.  The descent is the
+        functional search itself, reading each node word once."""
         tree = self.tree
-        trace = TraceBuilder(stream_base)
-        load, alu, branch = trace.load, trace.alu, trace.branch
+        read = tree.memory.read
+        trace = TraceBuilder()
+        load, compare, run = trace.load, trace.compare, trace.run
 
         key = int(self.probe_keys.values[row])
         key_ready = load(self.probe_keys.address_of(row))
 
+        node = tree.root
         node_dep = key_ready
-        for node in tree.descend_path(key):
+        while True:
             # Meta word: leaf test.  The node address came from the parent.
             meta_ready = load(node, node_dep)
-            branch(alu(meta_ready))
-            if tree.node_is_leaf(node):
-                matched = None
+            run(TEST_PREV)
+            keys = node + _btree._KEYS_OFFSET
+            if read(node, 8) & _btree.META_LEAF:
                 for slot in range(_btree.FANOUT):
-                    branch(alu(load(node + _btree._KEYS_OFFSET + 4 * slot,
-                                    meta_ready), key_ready))
-                    if tree.node_key(node, slot) == key:
-                        matched = slot
+                    compare(keys + 4 * slot, meta_ready, key_ready)
+                    if read(keys + 4 * slot, 4) == key:
+                        load(node + _btree._PAYLOADS_OFFSET + 4 * slot,
+                             meta_ready)
                         break
-                if matched is not None:
-                    load(node + _btree._PAYLOADS_OFFSET + 4 * matched,
-                         meta_ready)
-                elif self.model_mispredicts:
-                    # The miss exit deviates from the common found path.
-                    branch(meta_ready, mispredict=True)
-            else:
-                slot = 0
-                while slot < _btree.FANOUT and key > tree.node_key(node, slot):
-                    branch(alu(load(node + _btree._KEYS_OFFSET + 4 * slot,
-                                    meta_ready), key_ready))
-                    slot += 1
-                if slot < _btree.FANOUT:
-                    branch(alu(load(node + _btree._KEYS_OFFSET + 4 * slot,
-                                    meta_ready), key_ready))
-                # Child pointer: the dependency that serializes the descent.
-                node_dep = load(node + _btree._CHILDREN_OFFSET + 8 * slot,
-                                meta_ready)
+                else:
+                    if self.model_mispredicts:
+                        # The miss exit deviates from the common found path.
+                        trace.mispredicted_branch(meta_ready)
+                break
+            slot = 0
+            while slot < _btree.FANOUT:
+                compare(keys + 4 * slot, meta_ready, key_ready)
+                if key <= read(keys + 4 * slot, 4):
+                    break
+                slot += 1
+            # Child pointer: the dependency that serializes the descent.
+            pointer = node + _btree._CHILDREN_OFFSET + 8 * slot
+            node_dep = load(pointer, meta_ready)
+            child = read(pointer, 8)
+            # A key above everything under the last real child follows it.
+            node = child if child != NULL_PTR else tree._last_real_child(node)
         # Probe-loop bookkeeping.
-        branch(alu())
+        run(LOOP_TAIL)
         return trace.uops
 
 
-class TrieTraceGenerator(_OrderedTraceGenerator):
+class TrieTraceGenerator(TraceGenerator):
     """Per-probe hashed-trie lookups: independent per-level fetches."""
 
     def __init__(self, trie: MlpTrie, probe_keys: Column,
@@ -152,13 +130,15 @@ class TrieTraceGenerator(_OrderedTraceGenerator):
         self.trie = trie
         self.model_mispredicts = model_mispredicts
         self._typical_depth = max(1, round(trie.mean_depth))
+        self._address_chain = address_chain(trie.hash_spec, extra=1)
 
-    def probe_uops(self, row: int, stream_base: int) -> List[Uop]:
+    def probe_uops(self, row: int) -> List[Uop]:
         """One MLP-trie lookup: every candidate bucket address depends
         only on the key load, so the level fetches issue in parallel."""
         trie = self.trie
-        trace = TraceBuilder(stream_base)
-        load, alu, branch = trace.load, trace.alu, trace.branch
+        read = trie.memory.read
+        trace = TraceBuilder()
+        load, compare, run = trace.load, trace.compare, trace.run
 
         key = int(self.probe_keys.values[row])
         key_ready = load(self.probe_keys.address_of(row))
@@ -169,41 +149,34 @@ class TrieTraceGenerator(_OrderedTraceGenerator):
             # key alone: the whole address chain for this depth depends
             # only on the key load, NOT on any other depth — the MLP the
             # layout exists to expose.
-            prev = alu(alu(key_ready))           # shift, + depth tag
-            for _step in trie.hash_spec.steps:
-                for _ in range(HOST_OPS_PER_HASH_STEP):
-                    prev = alu(prev)
-            for _ in range(3):                   # mask, scale, base add
-                prev = alu(prev)
-            addr_ready = prev
+            trace.alu(key_ready)                 # shift; then + depth tag,
+            block_dep = run(self._address_chain)  # hash, bucket address
 
             expect = tag_value(key, depth)
-            block_dep = addr_ready
-            found = False
-            for block in trie.chain_blocks(trie.bucket_addr(key, depth)):
+            block = trie.bucket_addr(key, depth)
+            while block != NULL_PTR:
                 for index in range(_trie.SLOTS_PER_BUCKET):
                     slot = block + _trie._SLOT_BASE + index * _trie.SLOT_BYTES
-                    branch(alu(load(slot + _trie._TAG_OFFSET, block_dep),
-                               key_ready))
-                    if trie.slot_tag(slot) == expect:
+                    compare(slot + _trie._TAG_OFFSET, block_dep, key_ready)
+                    if read(slot + _trie._TAG_OFFSET, 8) == expect:
                         load(slot + _trie._PAYLOAD_OFFSET, block_dep)
-                        found = True
+                        hit_depth = depth
                         break
-                if found:
+                if hit_depth is not None:
                     break
                 # Overflow pointer: the intra-bucket chain IS dependent.
                 block_dep = load(block + _trie._OVERFLOW_OFFSET, block_dep)
-                branch(block_dep)
-            if found:
-                hit_depth = depth
+                run(BRANCH_PREV)
+                block = read(block + _trie._OVERFLOW_OFFSET, 8)
+            if hit_depth is not None:
                 break
         mispredict = (self.model_mispredicts
                       and (hit_depth or _trie.MAX_DEPTH) != self._typical_depth)
-        branch(alu(), mispredict=mispredict)
+        run(LOOP_TAIL_MISPREDICTED if mispredict else LOOP_TAIL)
         return trace.uops
 
 
-class WormholeTraceGenerator(_OrderedTraceGenerator):
+class WormholeTraceGenerator(TraceGenerator):
     """Per-probe wormhole lookups: binary search then a bounded walk."""
 
     def __init__(self, index: WormholeIndex, probe_keys: Column,
@@ -211,13 +184,15 @@ class WormholeTraceGenerator(_OrderedTraceGenerator):
         super().__init__(probe_keys)
         self.index = index
         self.model_mispredicts = model_mispredicts
+        self._address_chain = address_chain(index.hash_spec, extra=1)
 
-    def probe_uops(self, row: int, stream_base: int) -> List[Uop]:
+    def probe_uops(self, row: int) -> List[Uop]:
         """One wormhole lookup: binary search over prefix depths in the
         meta hash, then a single leaf scan."""
         wh = self.index
-        trace = TraceBuilder(stream_base)
-        load, alu, branch = trace.load, trace.alu, trace.branch
+        read = wh.memory.read
+        trace = TraceBuilder()
+        load, compare, run = trace.load, trace.compare, trace.run
 
         key = int(self.probe_keys.values[row])
         key_ready = load(self.probe_keys.address_of(row))
@@ -232,41 +207,31 @@ class WormholeTraceGenerator(_OrderedTraceGenerator):
         outcome_dep = key_ready
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            prev = alu(alu(key_ready, outcome_dep))
-            for _step in wh.hash_spec.steps:
-                for _ in range(HOST_OPS_PER_HASH_STEP):
-                    prev = alu(prev)
-            for _ in range(3):
-                prev = alu(prev)
+            trace.alu(key_ready, outcome_dep)    # prefix at this depth,
+            block_dep = run(self._address_chain)  # hash, bucket address
 
             value = probe_value(key, mid)
             found = None
-            block_dep = prev
             # The probe's outcome is the last uop on its path.
-            outcome_dep = prev
+            outcome_dep = block_dep
             block = wh.meta_bucket_addr(value)
-            while block != NULL_PTR and found is None:
-                hit = False
+            while block != NULL_PTR:
                 for index in range(_wormhole.META_SLOTS_PER_BUCKET):
                     slot = (block + _wormhole._META_SLOT_BASE
                             + index * _wormhole.META_SLOT_BYTES)
-                    branch(alu(load(slot + _wormhole._META_TAG_OFFSET,
-                                    block_dep), key_ready))
-                    if wh.memory.read_u64(
-                            slot + _wormhole._META_TAG_OFFSET) == value:
+                    compare(slot + _wormhole._META_TAG_OFFSET, block_dep,
+                            key_ready)
+                    if read(slot + _wormhole._META_TAG_OFFSET, 8) == value:
                         outcome_dep = load(
                             slot + _wormhole._META_LEAF_OFFSET, block_dep)
-                        found = wh.memory.read_u64(
-                            slot + _wormhole._META_LEAF_OFFSET)
-                        hit = True
+                        found = read(slot + _wormhole._META_LEAF_OFFSET, 8)
                         break
-                if hit:
+                if found is not None:
                     break
                 block_dep = load(block + _wormhole._META_OVERFLOW_OFFSET,
                                  block_dep)
-                outcome_dep = branch(block_dep)
-                block = wh.memory.read_u64(
-                    block + _wormhole._META_OVERFLOW_OFFSET)
+                outcome_dep = run(BRANCH_PREV)
+                block = read(block + _wormhole._META_OVERFLOW_OFFSET, 8)
             if found is None:
                 hi = mid - 1
             else:
@@ -278,34 +243,31 @@ class WormholeTraceGenerator(_OrderedTraceGenerator):
         leaf_dep = outcome_dep
         while True:
             next_ready = load(leaf + _wormhole._NEXT_LEAF_OFFSET, leaf_dep)
-            nxt = wh.next_leaf(leaf)
+            nxt = read(leaf + _wormhole._NEXT_LEAF_OFFSET, 8)
             if nxt == NULL_PTR:
-                branch(next_ready)
+                run(BRANCH_PREV)
                 break
-            branch(alu(load(nxt + _wormhole._KEYS_OFFSET, next_ready),
-                       key_ready))
-            if wh.leaf_key(nxt, 0) > key:
+            compare(nxt + _wormhole._KEYS_OFFSET, next_ready, key_ready)
+            if read(nxt + _wormhole._KEYS_OFFSET, 4) > key:
                 break
             leaf = nxt
             leaf_dep = next_ready
 
         # Final leaf: scan slots for the key.
-        matched = None
         for slot in range(_wormhole.FANOUT):
-            branch(alu(load(leaf + _wormhole._KEYS_OFFSET + 4 * slot,
-                            leaf_dep), key_ready))
-            if wh.leaf_key(leaf, slot) == key:
-                matched = slot
+            compare(leaf + _wormhole._KEYS_OFFSET + 4 * slot, leaf_dep,
+                    key_ready)
+            if read(leaf + _wormhole._KEYS_OFFSET + 4 * slot, 4) == key:
+                load(leaf + _wormhole._PAYLOADS_OFFSET + 4 * slot, leaf_dep)
                 break
-        if matched is not None:
-            load(leaf + _wormhole._PAYLOADS_OFFSET + 4 * matched, leaf_dep)
-        elif self.model_mispredicts:
-            branch(leaf_dep, mispredict=True)
-        branch(alu())
+        else:
+            if self.model_mispredicts:
+                trace.mispredicted_branch(leaf_dep)
+        run(LOOP_TAIL)
         return trace.uops
 
 
-class BatchedTreeTraceGenerator(_OrderedTraceGenerator):
+class BatchedTreeTraceGenerator(TraceGenerator):
     """Level-wise batched descents: each trace consumes ``batch`` probes."""
 
     def __init__(self, tree: BPlusTree, probe_keys: Column,
@@ -324,26 +286,25 @@ class BatchedTreeTraceGenerator(_OrderedTraceGenerator):
         if rows is None:
             rows = range(len(self.probe_keys.values))
         rows = list(rows)
-        base = 0
         for start in range(0, len(rows) - self.batch + 1, self.batch):
-            uops = self.batch_uops(rows[start:start + self.batch], base)
-            yield uops
-            base += len(uops)
+            yield self.batch_uops(rows[start:start + self.batch])
 
-    def batch_uops(self, rows: Sequence[int], stream_base: int) -> List[Uop]:
+    def batch_uops(self, rows: Sequence[int]) -> List[Uop]:
         """One level-wise batched descent: each distinct node on the
         batch's frontier is loaded once per level and later members of
-        the group reuse the loaded block."""
+        the group reuse the loaded block (and its key words, read once
+        per node)."""
         tree = self.tree
-        trace = TraceBuilder(stream_base)
-        load, alu, branch = trace.load, trace.alu, trace.branch
+        read = tree.memory.read
+        trace = TraceBuilder()
+        load, compare_loaded = trace.load, trace.compare_loaded
 
         keys = [int(self.probe_keys.values[row]) for row in rows]
         key_ready = [load(self.probe_keys.address_of(row)) for row in rows]
         order = sorted(range(len(keys)), key=keys.__getitem__) \
             if self.sort_batches else list(range(len(keys)))
 
-        # frontier: probe slot -> (node, position of the parent's load).
+        # frontier: probe slot -> (node, index of the parent's load).
         frontier = [(i, tree.root, key_ready[i]) for i in order]
         while frontier:
             groups: Dict[int, List] = {}
@@ -354,35 +315,38 @@ class BatchedTreeTraceGenerator(_OrderedTraceGenerator):
                 # One fetch per distinct node per level — the batched
                 # amortization.  Later members reuse the loaded block.
                 node_ready = load(node, members[0][1])
-                branch(alu(node_ready))
-                if tree.node_is_leaf(node):
-                    for i, _dep in members:
-                        for slot in range(_btree.FANOUT):
-                            branch(alu(node_ready, key_ready[i]))
-                            if tree.node_key(node, slot) == keys[i]:
-                                load(node + _btree._PAYLOADS_OFFSET
-                                     + 4 * slot, node_ready)
-                                break
-                else:
-                    for i, _dep in members:
-                        slot = 0
-                        while (slot < _btree.FANOUT
-                               and keys[i] > tree.node_key(node, slot)):
-                            branch(alu(node_ready, key_ready[i]))
+                trace.run(TEST_PREV)
+                node_keys = [read(node + _btree._KEYS_OFFSET + 4 * slot, 4)
+                             for slot in range(_btree.FANOUT)]
+                leaf = read(node, 8) & _btree.META_LEAF
+                for i, _dep in members:
+                    key = keys[i]
+                    slot = 0
+                    if leaf:
+                        # Compare slot by slot up to the key (all on a miss).
+                        while (slot < _btree.FANOUT - 1
+                               and node_keys[slot] != key):
                             slot += 1
-                        if slot < _btree.FANOUT:
-                            branch(alu(node_ready, key_ready[i]))
-                        child = tree.node_child(node, slot)
-                        if child == NULL_PTR:
-                            child = tree._last_real_child(node)
-                        next_frontier.append((i, child, node_ready))
+                        compare_loaded(node_ready, key_ready[i], slot + 1)
+                        if node_keys[slot] == key:
+                            load(node + _btree._PAYLOADS_OFFSET + 4 * slot,
+                                 node_ready)
+                        continue
+                    while slot < _btree.FANOUT and key > node_keys[slot]:
+                        slot += 1
+                    compare_loaded(node_ready, key_ready[i],
+                                   min(slot + 1, _btree.FANOUT))
+                    child = read(node + _btree._CHILDREN_OFFSET + 8 * slot, 8)
+                    if child == NULL_PTR:
+                        child = tree._last_real_child(node)
+                    next_frontier.append((i, child, node_ready))
             frontier = next_frontier
-        branch(alu())
+        trace.run(LOOP_TAIL)
         return trace.uops
 
 
 def make_ordered_generator(index_class: str, index, probe_keys: Column, *,
-                           batch: int = 4) -> _OrderedTraceGenerator:
+                           batch: int = 4) -> TraceGenerator:
     """The trace generator matching an ordered workload class."""
     if index_class == "btree":
         return TreeTraceGenerator(index, probe_keys)

@@ -8,7 +8,7 @@ the remaining probes, reporting a 95% confidence interval over batch means.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..config import SystemConfig, DEFAULT_CONFIG
 from ..db.column import Column
@@ -67,7 +67,6 @@ def measure_indexing(index: HashIndex, probe_keys: Column, *,
                      config: SystemConfig = DEFAULT_CONFIG,
                      warmup_probes: int = 512,
                      measure_probes: Optional[int] = None,
-                     rows: Optional[Sequence[int]] = None,
                      batch_size: int = 128,
                      warm_index: bool = True) -> CoreTimingResult:
     """Run the probe loop on a baseline core model; return cycles/tuple.
@@ -83,15 +82,12 @@ def measure_indexing(index: HashIndex, probe_keys: Column, *,
         warm_hash_index(memory, index)
     generator = ProbeTraceGenerator(index, probe_keys)
     total_rows = len(probe_keys.values)
-    if rows is None:
-        limit = total_rows if measure_probes is None else min(
-            total_rows, warmup_probes + measure_probes)
-        rows = range(limit)
-    rows = list(rows)
-    if len(rows) <= warmup_probes:
+    limit = total_rows if measure_probes is None else min(
+        total_rows, warmup_probes + measure_probes)
+    if limit <= warmup_probes:
         raise ValueError(
             f"need more than {warmup_probes} probes to measure after warm-up")
-    return _time_traces(generator.stream(rows), memory, core=core,
+    return _time_traces(generator.stream(range(limit)), memory, core=core,
                         config=config, warmup_traces=warmup_probes,
                         batch_size=batch_size)
 

@@ -19,97 +19,107 @@ block-reuse and locality behaviour.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..db.column import Column
+from ..db.hashfn import HashSpec
 from ..db.hashtable import HashIndex
-from .uops import TraceBuilder, Uop
+from .uops import (ALU_PREV, BRANCH_PREV, BRANCH_PREV_MISPREDICTED,
+                   LOOP_TAIL, TEST_PREV, TEST_PREV_MISPREDICTED,
+                   TraceBuilder, Uop)
 
 #: Host ALU ops per hash mixing step (shift + combine; no fusion).
 HOST_OPS_PER_HASH_STEP = 2
 
 
-class ProbeTraceGenerator:
-    """Generates per-probe uop traces against a live :class:`HashIndex`."""
+def address_chain(hash_spec: HashSpec, extra: int = 0) -> Tuple[Uop, ...]:
+    """The serial ALU chain from a key to its bucket address: ``extra``
+    ops first, then the hash, then mask, scale (shift) and base add."""
+    return ALU_PREV * (extra + HOST_OPS_PER_HASH_STEP * len(hash_spec.steps)
+                       + 3)
 
-    def __init__(self, index: HashIndex, probe_keys: Column,
-                 out_base: int = 0,
-                 model_mispredicts: bool = True) -> None:
+
+class TraceGenerator:
+    """Expands probe rows into uop traces, one trace per probe."""
+
+    #: Probes consumed per yielded trace (batched descent overrides).
+    tuples_per_trace = 1
+
+    def __init__(self, probe_keys: Column) -> None:
         if not probe_keys.is_materialized:
             raise ValueError("probe key column must be materialized in "
                              "simulated memory before tracing")
-        self.index = index
         self.probe_keys = probe_keys
-        self.out_base = out_base
+
+    def probe_uops(self, row: int) -> List[Uop]:
+        """The uop trace for probing the key at ``row``."""
+        raise NotImplementedError
+
+    def stream(self, rows: Optional[Sequence[int]] = None) -> Iterator[List[Uop]]:
+        """One trace per row (every row by default), each built as the
+        iterator reaches it."""
+        if rows is None:
+            rows = range(len(self.probe_keys.values))
+        return map(self.probe_uops, rows)
+
+
+class ProbeTraceGenerator(TraceGenerator):
+    """Generates per-probe uop traces against a live :class:`HashIndex`."""
+
+    def __init__(self, index: HashIndex, probe_keys: Column,
+                 model_mispredicts: bool = True) -> None:
+        super().__init__(probe_keys)
+        self.index = index
         self.model_mispredicts = model_mispredicts
         # The loop-exit branch is strongly biased: a bimodal predictor
         # learns the most common chain length and only mispredicts probes
         # whose chain deviates from it.
         self._typical_chain = max(1, round(index.num_keys / max(1, index.num_buckets)))
+        self._address_chain = address_chain(index.hash_spec)
 
-    def _exit_mispredicts(self, chain_length: int) -> bool:
-        if not self.model_mispredicts:
-            return False
-        return chain_length != self._typical_chain
-
-    def probe_uops(self, row: int, stream_base: int) -> List[Uop]:
-        """The uop trace for probing key at ``row``; deps are absolute
-        stream positions starting at ``stream_base``."""
+    def probe_uops(self, row: int) -> List[Uop]:
+        """The uop trace for probing the key at ``row``."""
         index = self.index
         layout = index.layout
-        trace = TraceBuilder(stream_base)
-        load, alu, branch = trace.load, trace.alu, trace.branch
+        trace = TraceBuilder()
+        load, compare, run = trace.load, trace.compare, trace.run
 
         key = int(self.probe_keys.values[row])
         key_ready = load(self.probe_keys.address_of(row))
-
-        # Hash: a serial ALU chain seeded by the key load.
-        prev = key_ready
-        for _step in index.hash_spec.steps:
-            for _ in range(HOST_OPS_PER_HASH_STEP):
-                prev = alu(prev)
-        # Bucket address: mask, scale (shift) and base add.
-        for _ in range(3):
-            prev = alu(prev)
-        addr_ready = prev
+        # Hash and bucket address: a serial ALU chain seeded by the key.
+        addr_ready = run(self._address_chain)
 
         # Walk the actual chain.
         chain = list(index.walk_chain(key))
+        exit_mispredicts = (self.model_mispredicts
+                            and len(chain) != self._typical_chain)
         prev_node_dep = addr_ready
         for node_index, node_addr in enumerate(chain):
             last = node_index == len(chain) - 1
-            slot_ready = load(node_addr + layout.key_offset, prev_node_dep)
-            cmp_dep = slot_ready
             if layout.indirect:
-                # Address arithmetic into the base column, then the key load.
+                # Key slot, address arithmetic into the base column, then
+                # the key load.
+                load(node_addr + layout.key_offset, prev_node_dep)
                 row_id = index.node_payload(node_addr)
-                cmp_dep = load(index.key_address_for_row(row_id),
-                               alu(slot_ready))
-            compare = alu(cmp_dep, key_ready)
-            branch(compare)
-            if index.node_key(node_addr) == key and not layout.indirect:
-                # Emit: read the payload (same block as the key slot).
-                load(node_addr + layout.payload_offset, compare)
-            next_ready = load(node_addr + layout.next_offset, prev_node_dep)
-            branch(next_ready,
-                   mispredict=last and self._exit_mispredicts(len(chain)))
-            prev_node_dep = next_ready
+                compare(index.key_address_for_row(row_id), run(ALU_PREV),
+                        key_ready)
+            else:
+                compared = compare(node_addr + layout.key_offset,
+                                   prev_node_dep, key_ready)
+                if index.node_key(node_addr) == key:
+                    # Emit: read the payload (same block as the key slot).
+                    load(node_addr + layout.payload_offset, compared)
+            prev_node_dep = load(node_addr + layout.next_offset,
+                                 prev_node_dep)
+            run(BRANCH_PREV_MISPREDICTED if last and exit_mispredicts
+                else BRANCH_PREV)
         if not chain:
             # Empty bucket: the header's key slot is still read and compared
             # against the sentinel before the walk loop can exit.
             header = index.bucket_addr(index.bucket_of_key(key))
-            branch(alu(load(header + layout.key_offset, addr_ready)),
-                   mispredict=self._exit_mispredicts(0))
+            load(header + layout.key_offset, addr_ready)
+            run(TEST_PREV_MISPREDICTED if exit_mispredicts else TEST_PREV)
         # Loop bookkeeping for the key iterator (i++ / bounds test).
-        branch(alu())
+        run(LOOP_TAIL)
         return trace.uops
 
-    def stream(self, rows: Optional[Sequence[int]] = None) -> Iterator[List[Uop]]:
-        """Yield per-probe traces with stream-consistent dependency indices."""
-        if rows is None:
-            rows = range(len(self.probe_keys.values))
-        base = 0
-        for row in rows:
-            uops = self.probe_uops(row, base)
-            yield uops
-            base += len(uops)

@@ -2,10 +2,10 @@
 
 Every data structure the simulated programs touch (input key tables, hash
 buckets, node lists, output regions) is laid out at real addresses inside a
-single growable byte store.  Widx instructions and the baseline cores'
-probe traces read and write these bytes, so the simulation is functionally
-exact: the accelerated probe must produce byte-identical results to the
-software loop.
+single byte store.  Widx instructions and the baseline cores' probe
+traces read and write these bytes, so the simulation is functionally exact:
+the accelerated probe must produce byte-identical results to the software
+loop.
 
 Address 0 is reserved as the NULL pointer; the first mapped byte is at
 ``BASE_ADDRESS``.
@@ -13,6 +13,7 @@ Address 0 is reserved as the NULL pointer; the first mapped byte is at
 
 from __future__ import annotations
 
+import mmap
 from struct import Struct
 
 from ..errors import AlignmentError, SegmentationFault
@@ -33,7 +34,9 @@ class PhysicalMemory:
     """
 
     def __init__(self, limit_bytes: int = 1 << 31) -> None:
-        self._store = bytearray()
+        # Private anonymous pages are zero until first touched, so the
+        # store never grows, moves or sits in the malloc heap.
+        self._store = mmap.mmap(-1, limit_bytes, flags=mmap.MAP_PRIVATE)
         self._limit = limit_bytes
         self._base = BASE_ADDRESS
         self._brk = BASE_ADDRESS  # next unallocated address
@@ -55,9 +58,6 @@ class PhysicalMemory:
             raise SegmentationFault(
                 f"allocation of {nbytes} bytes exceeds the {self._limit}-byte "
                 f"simulated memory limit")
-        needed = end - self._base
-        if needed > len(self._store):
-            self._store.extend(b"\x00" * (needed - len(self._store)))
         self._brk = end
         return base
 
@@ -112,10 +112,11 @@ class PhysicalMemory:
 
         Checked like :meth:`read` of each element in turn.  The copy is
         the caller's own (``np.frombuffer`` over it gives a writable
-        array), so no view of the growable store escapes.
+        array), so no view of the store escapes.
         """
         offset = self._array_offset(addr, itemsize, count)
-        return self._store[offset:offset + itemsize * count]
+        view = memoryview(self._store)[offset:offset + itemsize * count]
+        return bytearray(view)
 
     def write_array(self, addr: int, values) -> None:
         """Write a contiguous array's raw bytes at ``addr`` in one copy.

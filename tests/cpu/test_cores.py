@@ -32,7 +32,7 @@ class TestOoO:
 
     def test_dependent_chain_serializes(self):
         core, _ = fresh("ooo")
-        core.execute([Uop(UopKind.ALU, deps=(i - 1,) if i else ())
+        core.execute([Uop(UopKind.ALU, deps=(1,) if i else ())
                       for i in range(100)])
         assert core.completion_time >= 100
 
@@ -141,33 +141,50 @@ def test_uop_validation():
 
 @pytest.mark.parametrize("core_kind", ["ooo", "inorder"])
 class TestForeignDeps:
-    """A dep must name an earlier uop of the same execute call."""
+    """A dep counts back to an earlier uop of the same execute call."""
+
+    def test_zero_dep_rejected(self, core_kind):
+        core, _ = fresh(core_kind)
+        with pytest.raises(ValueError, match="uop 1 of its trace .* not an "
+                                             "earlier uop"):
+            core.execute([Uop(UopKind.ALU), Uop(UopKind.ALU, deps=(0,))])
 
     def test_negative_dep_rejected(self, core_kind):
         core, _ = fresh(core_kind)
-        with pytest.raises(ValueError, match="not an earlier uop"):
-            core.execute([Uop(UopKind.ALU), Uop(UopKind.ALU, deps=(-1,))])
+        with pytest.raises(ValueError, match="uop 2 of its trace .* not an "
+                                             "earlier uop"):
+            core.execute([Uop(UopKind.ALU), Uop(UopKind.ALU),
+                           Uop(UopKind.ALU, deps=(-1,))])
 
-    def test_self_dep_rejected(self, core_kind):
+    def test_dep_before_the_first_uop_rejected(self, core_kind):
         core, _ = fresh(core_kind)
-        with pytest.raises(ValueError, match="not an earlier uop"):
-            core.execute([Uop(UopKind.ALU), Uop(UopKind.ALU, deps=(1,))])
+        with pytest.raises(ValueError, match="uop 2 of its trace .* not an "
+                                             "earlier uop"):
+            core.execute([Uop(UopKind.ALU), Uop(UopKind.ALU),
+                           Uop(UopKind.ALU, deps=(3,))])
 
-    def test_future_dep_rejected(self, core_kind):
+    def test_first_uop_dep_rejected(self, core_kind):
         core, _ = fresh(core_kind)
-        with pytest.raises(ValueError, match="not an earlier uop"):
+        with pytest.raises(ValueError, match="uop 0 of its trace .* not an "
+                                             "earlier uop"):
             core.execute([Uop(UopKind.ALU, deps=(1,)), Uop(UopKind.ALU)])
 
     def test_previous_call_dep_rejected(self, core_kind):
         core, _ = fresh(core_kind)
-        core.execute([Uop(UopKind.ALU), Uop(UopKind.ALU, deps=(0,))])
-        with pytest.raises(ValueError, match="not an earlier uop"):
+        core.execute([Uop(UopKind.ALU), Uop(UopKind.ALU, deps=(1,))])
+        with pytest.raises(ValueError, match="uop 0 of its trace .* not an "
+                                             "earlier uop"):
             core.execute([Uop(UopKind.ALU, deps=(1,))])
 
-    def test_deps_are_stream_positions(self, core_kind):
-        core, _ = fresh(core_kind)
-        core.execute([Uop(UopKind.ALU) for _ in range(3)])
-        core.execute([Uop(UopKind.ALU, latency=20),
-                      Uop(UopKind.ALU, deps=(3,))])
-        assert core.completion_time >= 21
-        assert core.uops_executed == 5
+    def test_dep_on_exactly_the_first_uop_accepted(self, core_kind):
+        times = {}
+        for deps in ((), (2,)):
+            core, _ = fresh(core_kind)
+            core.execute([Uop(UopKind.ALU) for _ in range(3)])
+            core.execute([Uop(UopKind.ALU, latency=20), Uop(UopKind.ALU),
+                          Uop(UopKind.ALU, deps=deps)])
+            assert core.uops_executed == 6
+            times[deps] = core.completion_time
+        # The last uop waits for the call's first one (20 cycles) and
+        # finishes a cycle after it.
+        assert times[(2,)] == times[()] + 1

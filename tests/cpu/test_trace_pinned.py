@@ -49,16 +49,12 @@ def generator_for(cache, name: str):
 def stream_crc(generator) -> int:
     """CRC-32 over every uop of ``generator.stream(range(PROBES))``."""
     crc = 0
-    base = 0
     for trace in generator.stream(range(PROBES)):
         lines = [f"trace {len(trace)}"]
-        for local, (kind, addr, deps, latency, mispredict) in enumerate(trace):
-            position = base + local
-            distances = tuple(position - dep for dep in deps)
-            lines.append(f"{kind.value} {addr} {distances} {latency} "
+        for kind, addr, deps, latency, mispredict in trace:
+            lines.append(f"{kind.value} {addr} {deps} {latency} "
                          f"{int(mispredict)}")
         crc = zlib.crc32(("\n".join(lines) + "\n").encode(), crc)
-        base += len(trace)
     return crc
 
 

@@ -6,7 +6,6 @@ from repro.db.hashfn import ROBUST_HASH_32
 from repro.db.hashtable import HashIndex, choose_num_buckets
 from repro.db.node import KERNEL_LAYOUT, WIDE_LAYOUT
 from repro.errors import PlanError
-from repro.mem.layout import AddressSpace
 from tests.conftest import build_direct_index, build_indirect_index
 
 

@@ -1,6 +1,5 @@
 """Tests for the physical operators."""
 
-import numpy as np
 import pytest
 
 from repro.db.column import Column

@@ -1,13 +1,10 @@
 """Tests for the campaign layer: point enumeration, parallel prefetch and
 the serial / parallel / cache-hit equivalence guarantee."""
 
-import os
-
 import pytest
 
 from repro.harness.cachestore import CacheStore
-from repro.harness.campaign import (Campaign, MeasurementPoint,
-                                    baseline_point, dedup_points,
+from repro.harness.campaign import (Campaign, baseline_point, dedup_points,
                                     group_by_workload, kernel_points,
                                     query_points, widx_point)
 from repro.harness.fig8 import run_fig8b

@@ -4,8 +4,7 @@ import io
 
 import pytest
 
-from repro.harness.cli import (EXPERIMENTS, build_parser, list_experiments,
-                               main)
+from repro.harness.cli import EXPERIMENTS, list_experiments, main
 
 
 def run_cli(*argv):

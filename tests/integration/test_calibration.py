@@ -8,8 +8,6 @@ much, where the regimes flip), not exact numbers.
 
 import pytest
 
-from repro.harness.fig8 import run_fig8b
-from repro.harness.fig10 import run_fig10
 from repro.harness.runner import (MeasurementCache, RunSettings, geomean,
                                   measure_kernel, measure_query)
 from repro.workloads.tpcds import TPCDS_SIMULATED

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import SimulationError
-from repro.obs import Counter, Histogram, Occupancy, StatsRegistry
+from repro.obs import Counter, StatsRegistry
 
 
 def test_register_returns_the_live_object():

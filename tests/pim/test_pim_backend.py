@@ -18,7 +18,7 @@ from repro.errors import ServeError
 from repro.harness.campaign import pim_point
 from repro.harness.runner import MeasurementCache, RunSettings
 from repro.mem.dram import DramBankPorts
-from repro.mem.pimside import PIM_BUFFER, PimBankMemory
+from repro.mem.pimside import PimBankMemory
 from repro.obs import StatsRegistry
 from repro.pim import pim_config
 from repro.serve.service import measure_service

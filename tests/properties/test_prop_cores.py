@@ -13,14 +13,16 @@ of the same trace — over all four uop kinds, ALU latencies 1-20 and
 mispredicted branches, with addresses spread over more pages than the
 TLB maps and more blocks than the caches hold.  Each trace is fed to both
 formulations as several consecutive ``execute`` calls on a fresh memory
-hierarchy; after every call the completion times must be equal, and at
-the end every counter and the whole memory registry must match.
+hierarchy: to the models with deps counted back within the trace, to the
+references (which predate that encoding) with the same deps as absolute
+stream positions.  After every call the completion times must be equal,
+and at the end every counter and the whole memory registry must match.
 """
 
 import json
 from collections import deque
 from dataclasses import replace
-from typing import Deque, Iterable, List
+from typing import Deque, Iterable, List, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,19 +299,24 @@ def uop_specs(draw, earlier: int):
 
 @st.composite
 def traces(draw, min_uops: int):
-    """Consecutive traces of at least ``min_uops`` uops in all; deps are
-    absolute stream positions inside their own trace."""
-    stream: List[List[Uop]] = []
+    """Consecutive traces of at least ``min_uops`` uops in all, each as a
+    ``(model trace, reference trace)`` pair of the same uops: deps count
+    back within the trace in the first, and are absolute stream
+    positions inside their own trace in the second."""
+    stream: List[Tuple[List[Uop], List[Uop]]] = []
     base = 0
     while base < min_uops or len(stream) < 3:
         length = draw(st.integers(1, 80))
-        trace = []
+        trace, reference = [], []
         for local in range(length):
             kind, addr, deps, latency, mispredict = draw(uop_specs(local))
             trace.append(Uop(kind, addr=addr,
-                             deps=tuple(base + d for d in deps),
+                             deps=tuple(local - d for d in deps),
                              latency=latency, mispredict=mispredict))
-        stream.append(trace)
+            reference.append(Uop(kind, addr=addr,
+                                 deps=tuple(base + d for d in deps),
+                                 latency=latency, mispredict=mispredict))
+        stream.append((trace, reference))
         base += length
     return stream
 
@@ -323,14 +330,14 @@ def snapshot(model, memory) -> str:
     return json.dumps(registry.to_dict(), sort_keys=True)
 
 
-def run_both(core: str, stream: List[List[Uop]]):
+def run_both(core: str, stream: List[Tuple[List[Uop], List[Uop]]]):
     config, model_cls, reference_cls = CORES[core]
     memory, reference_memory = MemoryHierarchy(SMALL), MemoryHierarchy(SMALL)
     model = model_cls(config, memory)
     reference = reference_cls(config, reference_memory)
-    for number, trace in enumerate(stream):
+    for number, (trace, reference_trace) in enumerate(stream):
         model.execute(trace)
-        reference.execute(trace)
+        reference.execute(reference_trace)
         assert (repr(model.completion_time)
                 == repr(reference.completion_time)), number
     return (model, memory), (reference, reference_memory)
@@ -356,7 +363,8 @@ def test_trace_space_reaches_every_memory_outcome(core):
                        Uop(UopKind.LOAD, addr=address(0, 0, 1))]
     sweep = [Uop(UopKind.LOAD, addr=address(page, block, 0))
              for page in range(PAGES) for block in range(BLOCKS_PER_PAGE)]
-    (model, memory), _ = run_both(core, [store_then_load, sweep, sweep])
+    (model, memory), _ = run_both(
+        core, [(trace, trace) for trace in (store_then_load, sweep, sweep)])
     stats = json.loads(snapshot(model, memory))
     assert model.tlb_stall_cycles.value > 0
     assert stats["mem.l1d.misses"]["value"] > 0

@@ -6,7 +6,7 @@ from repro.errors import ServeError
 from repro.obs import StatsRegistry
 from repro.serve.control import (Controller, ControllerSpec, parse_controller)
 from repro.serve.faults import WalkerFaultModel
-from repro.serve.policies import FifoPolicy, parse_policy
+from repro.serve.policies import FifoPolicy
 from repro.serve.service import ServiceModel
 from repro.serve.simulate import ResilienceConfig, run_open_loop
 

@@ -25,7 +25,6 @@ from repro.db.btree import BPlusTree, KEY_PAD
 from repro.db.column import Column
 from repro.db.types import DataType
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.mem.layout import AddressSpace
 from repro.mem.reference import use_reference_arrays
 from repro.widx.offload import offload_tree_ranges, offload_tree_search
 

@@ -1,7 +1,5 @@
 """Tests for the schema-driven Widx program generators."""
 
-import pytest
-
 from repro.db.hashfn import KERNEL_HASH, ROBUST_HASH_32, ROBUST_HASH_64
 from repro.db.node import KERNEL_LAYOUT, MONETDB_LAYOUT, WIDE_LAYOUT
 from repro.widx.isa import Opcode

@@ -1,6 +1,5 @@
 """Tests for multi-range B+-tree scans on Widx."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -1,7 +1,5 @@
 """Tests for walker-trail capture: the recorder and the offload wiring."""
 
-import pytest
-
 from repro.config import DEFAULT_CONFIG
 from repro.obs import Trail
 from repro.widx.offload import offload_probe
