@@ -16,6 +16,7 @@ from repro.db.datagen import build_pair_tables, make_rng, zipf_keys
 from repro.db.operators.sortmerge import sort_merge_cycles
 from repro.db.types import DataType
 from repro.harness.report import Report
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.widx.offload import offload_probe
 
 
@@ -125,9 +126,11 @@ def skew_report(cache) -> Report:
         values = build_keys[(ranks - 1) % len(build_keys)]
         column = Column(f"skew{skew}", DataType.U32, values)
         column.materialize(space, f"skew:{skew}")
-        outcome = offload_probe(index, column, config=DEFAULT_CONFIG)
+        memory = MemoryHierarchy(DEFAULT_CONFIG)
+        outcome = offload_probe(index, column, config=DEFAULT_CONFIG,
+                                memory=memory)
         report.add_row(skew, outcome.cycles_per_tuple,
-                       outcome.memory.stats.l1d.miss_ratio)
+                       memory.stats.l1d.miss_ratio)
     return report
 
 

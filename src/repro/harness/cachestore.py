@@ -24,8 +24,8 @@ Only the numbers the figure drivers consume are persisted: a
 :class:`~repro.cpu.timing.CoreTimingResult` round-trips completely; an
 :class:`~repro.widx.offload.OffloadOutcome` is slimmed to its
 :class:`~repro.widx.machine.WidxRunResult` (timing + per-unit cycle
-breakdowns) plus the validation/fallback flags — simulated memory
-hierarchies and generated programs are rebuilt on demand, never stored.
+breakdowns) plus the validation/fallback flags — generated programs are
+rebuilt on demand, never stored, and no outcome holds a simulated machine.
 Both carry their :class:`~repro.obs.StatsRegistry` snapshot, so cache-hit
 runs contribute exactly the same merged statistics as freshly measured
 ones.  JSON floats serialize via ``repr`` and therefore round-trip

@@ -73,12 +73,12 @@ def _hierarchy_for(config: SystemConfig):
 
 @dataclass
 class OffloadOutcome:
-    """Result of one accelerated bulk-probe operation."""
+    """Plain results of one bulk-probe offload, never the machine: a
+    caller keeps the live hierarchy by passing it in as ``memory=``."""
 
     run: WidxRunResult
     payloads: List[int] = field(default_factory=list)
     validated: Optional[bool] = None
-    memory: Optional[MemoryHierarchy] = None
     programs: Dict[str, GeneratedProgram] = field(default_factory=dict)
     fell_back: bool = False             # aborted and re-ran on the host
     abort_cycles: float = 0.0           # Widx cycles wasted before abort
@@ -134,7 +134,8 @@ def _offload(spec: _Traversal, config: SystemConfig, warm: bool,
     Staging and output regions are scratch: released in reverse
     allocation order (and the space's break rewound) before returning,
     so every offload against a workload sees the same address layout no
-    matter how many offloads ran before it.
+    matter how many offloads ran before it.  The machine is scratch too:
+    only its results and ``stats`` snapshot leave this call.
     """
     widx = config.widx
     if widx.mode not in spec.modes:
@@ -215,8 +216,7 @@ def _offload(spec: _Traversal, config: SystemConfig, warm: bool,
     if trail is not None:
         registry.register("widx.trails", trail)
     return OffloadOutcome(run=run, payloads=payloads, validated=validated,
-                          memory=hierarchy, programs=programs,
-                          stats=registry.to_dict())
+                          programs=programs, stats=registry.to_dict())
 
 
 def _configure(machine: WidxMachine, spec: _Traversal, base: int,
@@ -429,7 +429,7 @@ def _host_fallback(index: HashIndex, probe_column: Column, probes: int,
                         unit_stats={name: unit.stats
                                     for name, unit in machine.units.items()})
     return OffloadOutcome(run=run, payloads=list(reference), validated=True,
-                          memory=None, programs=programs, fell_back=True,
+                          programs=programs, fell_back=True,
                           abort_cycles=abort_cycles)
 
 

@@ -39,11 +39,8 @@ def outcome_key(outcome):
          stats.cycles.comp, stats.cycles.mem, stats.cycles.tlb,
          stats.cycles.queue)
         for name, stats in sorted(run.unit_stats.items()))
-    memory = outcome.memory
-    mem = (memory.stats.loads.value, memory.stats.stores.value,
-           memory.stats.l1d.hits.value, memory.stats.l1d.misses.value,
-           memory.stats.tlb.misses.value, memory.stats.dram_blocks.value,
-           memory.banks.accesses.value, memory.banks.busy_cycles)
+    mem = {path: value for path, value in outcome.stats.items()
+           if path.startswith("mem.")}
     return (run.total_cycles, run.config_cycles, run.matches,
             tuple(outcome.payloads), outcome.validated, units, mem)
 

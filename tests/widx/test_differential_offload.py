@@ -6,7 +6,7 @@ interpreter) and once with every overhauled layer swapped for its
 deliberately naive reference twin via ``offload_probe``'s injection
 points — and asserts the *entire* simulated outcome is bit-identical:
 total cycles, emitted payloads, per-unit instruction/invocation/cycle
-accounting, and the memory-system counters.  This is the end-to-end
+accounting, and every memory-system counter in the stats snapshot.  This is the end-to-end
 guarantee behind the performance overhaul: every optimization is purely
 mechanical, with zero modelled-behaviour drift.
 """
@@ -33,11 +33,8 @@ def outcome_key(outcome):
          stats.cycles.comp, stats.cycles.mem, stats.cycles.tlb,
          stats.cycles.queue)
         for name, stats in sorted(run.unit_stats.items()))
-    mem = outcome.memory.stats
-    memory = (mem.loads.value, mem.stores.value,
-              mem.l1d.hits.value, mem.l1d.misses.value,
-              mem.llc.hits.value, mem.llc.misses.value,
-              mem.tlb.misses.value, mem.dram_blocks.value)
+    memory = {path: value for path, value in outcome.stats.items()
+              if path.startswith("mem.")}
     return (run.total_cycles, run.matches, tuple(outcome.payloads),
             outcome.validated, units, memory)
 

@@ -86,11 +86,8 @@ def outcome_key(outcome):
          stats.cycles.comp, stats.cycles.mem, stats.cycles.tlb,
          stats.cycles.queue)
         for name, stats in sorted(run.unit_stats.items()))
-    mem = outcome.memory.stats
-    memory = (mem.loads.value, mem.stores.value,
-              mem.l1d.hits.value, mem.l1d.misses.value,
-              mem.llc.hits.value, mem.llc.misses.value,
-              mem.tlb.misses.value, mem.dram_blocks.value)
+    memory = {path: value for path, value in outcome.stats.items()
+              if path.startswith("mem.")}
     return (run.total_cycles, run.matches, tuple(outcome.payloads),
             outcome.validated, units, memory)
 

@@ -12,7 +12,7 @@ from repro.db.column import Column
 from repro.db.datagen import make_rng, unique_keys
 from repro.db.types import DataType
 from repro.errors import WidxFault
-from repro.mem.llcside import LlcSideMemory
+from repro.mem.llcside import LLC_SIDE_BUFFER, LlcSideMemory
 from repro.widx.offload import offload_probe, offload_tree_search
 from tests.conftest import build_direct_index, materialized_probe_column
 
@@ -97,8 +97,12 @@ class TestLlcSidePlacement:
         index, keys, truth = build_direct_index(space, num_keys=3000)
         column = materialized_probe_column(space, keys, count=200)
         outcome = offload_probe(index, column, config=llc_config())
-        assert isinstance(outcome.memory, LlcSideMemory)
-        assert outcome.memory.stats.loads > 0
+        stats = outcome.stats
+        assert stats["mem.loads"]["value"] > 0
+        # The dedicated buffer's MSHR pool, and no core-side crossbar.
+        assert (stats["mem.l1d.mshrs.usage"]["capacity"]
+                == LLC_SIDE_BUFFER.mshrs != DEFAULT_CONFIG.l1d.mshrs)
+        assert "mem.crossbar.traversals" not in stats
 
     def test_no_crossbar_between_buffer_and_llc(self):
         memory = LlcSideMemory(DEFAULT_CONFIG)

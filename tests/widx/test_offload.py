@@ -4,13 +4,14 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.errors import WidxFault
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.widx.offload import offload_probe
 from tests.conftest import (build_direct_index, build_indirect_index,
                             materialized_probe_column)
 
 
 def run_offload(space, indirect=False, mode="shared", walkers=2,
-                probes=300, match_fraction=1.0, num_keys=1500):
+                probes=300, match_fraction=1.0, num_keys=1500, memory=None):
     if indirect:
         index, keys, truth = build_indirect_index(space, num_keys=num_keys)
     else:
@@ -18,7 +19,8 @@ def run_offload(space, indirect=False, mode="shared", walkers=2,
     column = materialized_probe_column(space, keys, count=probes,
                                        match_fraction=match_fraction)
     config = DEFAULT_CONFIG.with_widx(mode=mode, num_walkers=walkers)
-    outcome = offload_probe(index, column, config=config, probes=probes)
+    outcome = offload_probe(index, column, config=config, probes=probes,
+                            memory=memory)
     return index, column, outcome
 
 
@@ -141,9 +143,11 @@ class TestBehavior:
             offload_probe(index, loose)
 
     def test_memory_stats_available(self, space):
-        _, _, outcome = run_offload(space)
-        outcome.memory.stats.check()
-        assert outcome.memory.stats.loads > 0
+        memory = MemoryHierarchy(DEFAULT_CONFIG)
+        _, _, outcome = run_offload(space, memory=memory)
+        memory.stats.check()
+        assert memory.stats.loads > 0
+        assert outcome.stats["mem.loads"]["value"] == memory.stats.loads.value
 
     def test_programs_exposed_for_inspection(self, space):
         _, _, outcome = run_offload(space, mode="shared")

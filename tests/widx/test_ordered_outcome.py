@@ -22,6 +22,7 @@ from repro.db.column import Column
 from repro.db.trie import MlpTrie
 from repro.db.types import DataType
 from repro.db.wormhole import WormholeIndex
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.sim.engine import Engine
 from repro.widx import machine as machine_module
 from repro.widx.offload import (offload_batched_tree, offload_tree_ranges,
@@ -74,13 +75,13 @@ def test_ordered_outcome_carries_engine_snapshot(space, monkeypatch, name):
     cls, offload, kind = OFFLOADS[name]
     index, keys = _build(space, cls)
     argument = _column(space, keys) if kind == "search" else _ranges(keys)
-    outcome = offload(index, argument,
-                      config=DEFAULT_CONFIG.with_widx(num_walkers=2))
+    config = DEFAULT_CONFIG.with_widx(num_walkers=2)
+    memory = MemoryHierarchy(config)
+    outcome = offload(index, argument, config=config, memory=memory)
 
     assert outcome.stats is not None
     assert len(engines) == 1
     dispatched = engines[0].dispatched.value
     assert dispatched > 0
     assert outcome.stats["sim.engine.dispatched"]["value"] == dispatched
-    assert (outcome.stats["mem.loads"]["value"]
-            == outcome.memory.stats.loads.value)
+    assert outcome.stats["mem.loads"]["value"] == memory.stats.loads.value
