@@ -5,13 +5,14 @@ event engine; on a ``Large`` kernel the hierarchy alone is ~12 MB of
 cache-array state.  Once the point is measured none of it may stay
 reachable from the :class:`MeasurementCache` — otherwise every cached
 outcome pins its machine for the life of the campaign.  And a freshly
-measured outcome must carry exactly what a store round-trip rebuilds, so
-the two are interchangeable to every consumer.
+measured outcome must agree with its store round trip on every field the
+store keeps, so the two are interchangeable to every consumer.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import types
 from collections import deque
 
@@ -30,10 +31,9 @@ RUNS = RunSettings(probes=400, warmup=100, seed=42)
 #: Simulation objects no measured result may keep alive.
 MACHINE_TYPES = (MemoryPath, CacheArray, WidxMachine, Engine)
 
-#: Code and namespaces: walking them would reach every module global,
+#: Classes and modules: walking them would reach every module global,
 #: not what the cache itself holds.
-_OPAQUE = (type, types.ModuleType, types.FunctionType,
-           types.BuiltinFunctionType, types.CodeType, types.MethodType)
+_OPAQUE = (type, types.ModuleType)
 
 POINTS = {
     "kernel-widx": widx_point("kernel", "Small", 2),
@@ -44,7 +44,8 @@ POINTS = {
 
 def reachable_machine_objects(root):
     """Every :data:`MACHINE_TYPES` instance reachable from ``root``,
-    breadth-first over :func:`gc.get_referents`."""
+    breadth-first over :func:`gc.get_referents`; a function is followed
+    into its closure only, not its globals."""
     seen = {id(root)}
     queue = deque([root])
     found = []
@@ -53,6 +54,8 @@ def reachable_machine_objects(root):
         if isinstance(obj, MACHINE_TYPES):
             found.append(type(obj).__name__)
         for child in gc.get_referents(obj):
+            if isinstance(child, types.FunctionType):
+                child = child.__closure__ or ()
             if id(child) not in seen and not isinstance(child, _OPAQUE):
                 seen.add(id(child))
                 queue.append(child)
@@ -81,7 +84,8 @@ def test_measured_point_holds_no_simulation_objects(measured, name):
 def test_fresh_outcome_matches_its_store_round_trip(measured, name):
     cache, _leaks = measured
     fresh = cache.measure(POINTS[name])
-    stored = decode_measurement(encode_measurement(fresh))
+    stored = decode_measurement(
+        json.loads(json.dumps(encode_measurement(fresh))))
     assert fresh.fell_back is False
     for field in ("run", "validated", "fell_back", "abort_cycles", "stats"):
         assert getattr(stored, field) == getattr(fresh, field), field
