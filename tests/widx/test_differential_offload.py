@@ -6,9 +6,9 @@ interpreter) and once with every overhauled layer swapped for its
 deliberately naive reference twin via ``offload_probe``'s injection
 points — and asserts the *entire* simulated outcome is bit-identical:
 total cycles, emitted payloads, per-unit instruction/invocation/cycle
-accounting, and every memory-system counter in the stats snapshot.  This is the end-to-end
-guarantee behind the performance overhaul: every optimization is purely
-mechanical, with zero modelled-behaviour drift.
+accounting, and every memory-system counter in the stats snapshot.
+This is the end-to-end guarantee behind the performance overhaul: every
+optimization is purely mechanical, with zero modelled-behaviour drift.
 """
 
 from __future__ import annotations

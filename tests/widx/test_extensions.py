@@ -99,10 +99,12 @@ class TestLlcSidePlacement:
         outcome = offload_probe(index, column, config=llc_config())
         stats = outcome.stats
         assert stats["mem.loads"]["value"] > 0
-        # The dedicated buffer's MSHR pool, and no core-side crossbar.
+        # The dedicated buffer's MSHR pool, no core-side crossbar, and the
+        # shared LLC behind the buffer (the PIM path has neither).
         assert (stats["mem.l1d.mshrs.usage"]["capacity"]
                 == LLC_SIDE_BUFFER.mshrs != DEFAULT_CONFIG.l1d.mshrs)
         assert "mem.crossbar.traversals" not in stats
+        assert stats["mem.llc.accesses"]["value"] > 0
 
     def test_no_crossbar_between_buffer_and_llc(self):
         memory = LlcSideMemory(DEFAULT_CONFIG)
