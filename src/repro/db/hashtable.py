@@ -65,16 +65,24 @@ def _record_dtype(layout: NodeLayout) -> np.dtype:
 
 
 #: Keys :meth:`HashIndex.build` lays out per pass; bounds its scratch.
-_BUILD_RUN = 1 << 16
+#: A run's ~100 bytes of scratch per key stay in the CPU caches and below
+#: malloc's mmap threshold: 4K-8K keys built the 1M-key kernel index
+#: fastest, and 64K-key runs left ~6 MB more heap resident after it.
+_BUILD_RUN = 1 << 12
 
 
 def _as_unsigned(values: Sequence[int]) -> np.ndarray:
-    """Unsigned arrays as they are; other arrays as ``uint64``, negatives
-    wrapped to two's complement as :meth:`PhysicalMemory.write` masks
-    them; other sequences exactly (outside ``[0, 2**64)`` raises)."""
+    """Unsigned arrays as they are; ``int64`` arrays viewed as ``uint64``
+    and other arrays converted to it, negatives wrapped to two's
+    complement as :meth:`PhysicalMemory.write` masks them; other
+    sequences exactly (outside ``[0, 2**64)`` raises)."""
     if not isinstance(values, np.ndarray):
         return np.array(values, dtype=np.uint64)
-    return values if values.dtype.kind == "u" else values.astype(np.uint64)
+    if values.dtype.kind == "u":
+        return values
+    if values.dtype == np.int64:
+        return values.view(np.uint64)
+    return values.astype(np.uint64)
 
 
 @dataclass
@@ -92,10 +100,6 @@ class IndexStats:
         if self.used_buckets == 0:
             return 0.0
         return self.num_keys / self.used_buckets
-
-    @property
-    def load_factor(self) -> float:
-        return self.num_keys / self.num_buckets
 
 
 class HashIndex:
@@ -181,12 +185,16 @@ class HashIndex:
     def _header_empty(self, header_addr: int) -> bool:
         return self._read_slot(header_addr) == self.layout.empty_sentinel
 
+    def _bucket_span(self) -> Tuple[int, np.dtype, int]:
+        """The bucket array as a :meth:`PhysicalMemory.with_arrays` span."""
+        return self.buckets.base, self._record, self.num_buckets
+
     def _initialize_headers(self) -> None:
         # The bucket region is freshly allocated (zeroed): only the empty
-        # sentinel and the NULL next pointers need storing.
-        headers = np.zeros(self.num_buckets, self._record)
-        headers["slot"] = self.layout.empty_sentinel
-        self.memory.write_array(self.buckets.base, headers)
+        # sentinel needs storing; the next pointers are already NULL.
+        def empty(headers: np.ndarray) -> None:
+            headers["slot"] = self.layout.empty_sentinel
+        self.memory.with_arrays(empty, self._bucket_span())
 
     # ------------------------------------------------------------------
     # Build
@@ -249,45 +257,108 @@ class HashIndex:
         Stores exactly the bytes, in the same places, that calling
         :meth:`insert` on each pair in order would, with every check
         :meth:`insert` makes run (and the first failure raised) before
-        any byte is written.  The layout is computed on array copies of
-        the bucket array and the node heap, a run of keys at a time so
-        the scratch arrays stay small, and each copy is written back in
-        one array write.
+        any byte is written.  Two passes go over the keys a run at a
+        time, so scratch arrays stay the size of a run: the first makes
+        the checks, the second lays each run out in place, through views
+        of the bucket array and the node heap in the store.
         """
+        signed = isinstance(keys, np.ndarray) and keys.dtype.kind == "i"
         keys, payloads = _as_unsigned(keys), _as_unsigned(payloads)
         if len(keys) != len(payloads):
             raise ValueError("keys and payloads must have equal length")
         if len(keys) == 0:
             return
-        headers = np.frombuffer(self.memory.read_array(
-            self.buckets.base, self._record.itemsize, self.num_buckets),
-            self._record)
-        room = (self.nodes.end - self._next_node) // self.layout.stride
-        # Zero-filled on demand: only the nodes used take memory.
-        nodes = np.zeros(min(len(keys), room), self._record)
         column_keys = None
         if self.layout.indirect:
             column = self.key_column
             column_keys = np.frombuffer(self.memory.read_array(
                 column.region.base, column.dtype.nbytes, len(column)),
                 column.values.dtype.newbyteorder("<"))
-        used = 0
-        for start in range(0, len(keys), _BUILD_RUN):
-            run = slice(start, start + _BUILD_RUN)
-            used = self._lay_out(headers, nodes, used, keys[run],
-                                 payloads[run], column_keys)
-        self.memory.write_array(self.buckets.base, headers)
-        self.memory.write_array(self._next_node, nodes[:used])
+        runs = [slice(start, start + _BUILD_RUN)
+                for start in range(0, len(keys), _BUILD_RUN)]
+        room = (self.nodes.end - self._next_node) // self.layout.stride
+        self._check(keys, payloads, column_keys, runs, room, signed)
+
+        def lay_out(headers: np.ndarray, nodes: np.ndarray) -> int:
+            used = 0
+            for run in runs:
+                used = self._lay_out(headers, nodes, used, keys[run],
+                                     payloads[run])
+            return used
+
+        used = self.memory.with_arrays(
+            lay_out, self._bucket_span(),
+            (self._next_node, self._record, min(len(keys), room)))
         self._next_node += used * self.layout.stride
         self._overflow_nodes += used
         self.num_keys += len(keys)
 
+    def _check(self, keys: np.ndarray, payloads: np.ndarray,
+               column_keys: Optional[np.ndarray], runs: List[slice],
+               room: int, signed: bool) -> None:
+        """Raise what a per-key :meth:`insert` loop would raise first.
+
+        The node heap can run out only when it has room for fewer nodes
+        than there are keys; only then does an occupied-bucket bitmap
+        (one byte per bucket) track which keys spill past their header.
+        """
+        occupied = None
+        if room < len(keys):
+            sentinel = self.layout.empty_sentinel
+            occupied = self.memory.with_arrays(
+                lambda headers: headers["slot"] != sentinel,
+                self._bucket_span())
+        for run in runs:
+            homeless = ()
+            if occupied is not None:
+                homeless, room = self._homeless(keys[run], occupied, room)
+            self._check_run(keys[run], payloads[run], column_keys, homeless,
+                            signed)
+
+    def _homeless(self, keys: np.ndarray, occupied: np.ndarray,
+                  room: int) -> Tuple[Sequence[int], int]:
+        """The index of the first key of a run the node heap has no room
+        for, as a 0- or 1-element sequence, and the room left after it.
+
+        A key spills past its header if its bucket was ``occupied`` or an
+        earlier key of the run shares it; ``occupied`` is updated.
+        """
+        bucket = self.hash_spec.buckets_of(keys, self.num_buckets)
+        spills = occupied[bucket]
+        taken = np.count_nonzero(occupied)
+        occupied[bucket] = True
+        spilled = len(keys) - (np.count_nonzero(occupied) - taken)
+        if spilled <= room:
+            return (), room - spilled
+        order, grouped = self._group(bucket)
+        later = np.zeros(len(keys), bool)
+        np.equal(grouped[1:], grouped[:-1], out=later[1:])
+        spills[order[later]] = True
+        return np.flatnonzero(spills)[room:room + 1], 0
+
+    def _group(self, bucket: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """A run's key indices stably ordered by bucket, and their buckets.
+
+        One plain sort of the unique composite keys ``bucket << shift |
+        index`` gives the stable order: the low bits are the order, the
+        high bits the grouped buckets.
+        """
+        shift = (len(bucket) - 1).bit_length()
+        if (self.num_buckets - 1).bit_length() + shift > 63:
+            # Past int64 (2**51 buckets for a 4K run): sort stably.
+            order = np.argsort(bucket, kind="stable")
+            return order, bucket[order]
+        composite = bucket.astype(np.int64)
+        composite <<= shift
+        composite |= np.arange(len(bucket))
+        composite.sort()
+        return composite & ((1 << shift) - 1), composite >> shift
+
     def _lay_out(self, headers: np.ndarray, nodes: np.ndarray, used: int,
-                 keys: np.ndarray, payloads: np.ndarray,
-                 column_keys: Optional[np.ndarray]) -> int:
-        """Insert one run of keys into the ``headers``/``nodes`` copies,
-        after the ``used`` heap nodes earlier runs took; returns the heap
-        nodes now in use.
+                 keys: np.ndarray, payloads: np.ndarray) -> int:
+        """Insert one run of keys into the bucket array ``headers`` and
+        the free node heap ``nodes``, after the ``used`` heap nodes
+        earlier runs took; returns the heap nodes now in use.
 
         A stable sort by bucket gives each key its rank among the run's
         keys of its bucket, plus one if the header is already taken.
@@ -299,9 +370,8 @@ class HashIndex:
         """
         layout = self.layout
         count = len(keys)
-        bucket = self.hash_spec.buckets_of(keys, self.num_buckets)
-        order = np.argsort(bucket, kind="stable")
-        grouped = bucket[order]
+        order, grouped = self._group(
+            self.hash_spec.buckets_of(keys, self.num_buckets))
         position = np.arange(count)
         leads = np.ones(count, bool)
         np.not_equal(grouped[1:], grouped[:-1], out=leads[1:])
@@ -310,8 +380,6 @@ class HashIndex:
         spills = np.zeros(count, bool)
         spills[order[rank > 0]] = True
         spill = np.flatnonzero(spills)
-        self._check_run(keys, payloads, column_keys,
-                        spill[len(nodes) - used:][:1])
 
         slot = payloads if layout.indirect else keys
         inline = rank == 0
@@ -338,12 +406,16 @@ class HashIndex:
 
     def _check_run(self, keys: np.ndarray, payloads: np.ndarray,
                    column_keys: Optional[np.ndarray],
-                   homeless: np.ndarray) -> None:
+                   homeless: Sequence[int], signed: bool) -> None:
         """Raise what a per-key :meth:`insert` loop over one run would
         raise first; ``homeless`` holds the first key (if any) the node
-        heap has no room for."""
+        heap has no room for.  ``signed`` keys came from a signed array:
+        viewed as ``int64`` again they show the negatives, which no
+        layout takes, that the wrap to ``uint64`` hid."""
         layout = self.layout
         failures = []   # (index of the failing key, error), checks in order
+        shown = keys.view(np.int64) if signed else keys
+        negative = shown < 0 if signed else False
         if column_keys is not None:
             rows = len(column_keys)
             in_range = payloads < rows
@@ -355,17 +427,17 @@ class HashIndex:
             row_keys = np.zeros(len(keys), column_keys.dtype)
             row_keys[in_range] = column_keys[payloads[in_range]
                                              .astype(np.intp)]
-            wrong = np.flatnonzero(in_range & (row_keys != keys))
+            wrong = np.flatnonzero(in_range & ((row_keys != keys) | negative))
             if len(wrong):
                 at = wrong[0]
                 failures.append((at, PlanError(
                     f"row {int(payloads[at])} holds key "
-                    f"{int(row_keys[at])}, not {int(keys[at])}")))
+                    f"{int(row_keys[at])}, not {int(shown[at])}")))
         else:
-            wide = np.flatnonzero(keys > _max_key(layout))
+            wide = np.flatnonzero((keys > _max_key(layout)) | negative)
             if len(wide):
                 failures.append((wide[0], ValueError(
-                    f"key {int(keys[wide[0]])} does not fit "
+                    f"key {int(shown[wide[0]])} does not fit "
                     f"{layout.key_bytes} bytes")))
             clash = np.flatnonzero(keys == layout.empty_sentinel)
             if len(clash):

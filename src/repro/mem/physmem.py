@@ -14,7 +14,10 @@ Address 0 is reserved as the NULL pointer; the first mapped byte is at
 from __future__ import annotations
 
 import mmap
+import weakref
 from struct import Struct
+
+import numpy as np
 
 from ..errors import AlignmentError, SegmentationFault
 
@@ -133,6 +136,35 @@ class PhysicalMemory:
         offset = self._array_offset(addr, view.itemsize, len(view))
         self._store[offset:offset + view.nbytes] = view.cast("B")
 
+    def with_arrays(self, use, *spans):
+        """Call ``use`` with a writable numpy view of each span of the
+        store and return what it returns.
+
+        Each span is ``(addr, dtype, count)``: ``count`` consecutive
+        elements of ``dtype`` (little-endian, as the store is), checked
+        like :meth:`write_array` (mapped, ``addr`` aligned to the element
+        size) before ``use`` runs.  Writes through the views land in the
+        store in place, with no copy.  Every view, and any array derived
+        from one, must be gone when ``use`` returns, so no export of the
+        store outlives the call: one that ``use`` kept or returned raises
+        :class:`BufferError`.
+        """
+        placed = []
+        for addr, dtype, count in spans:
+            dtype = np.dtype(dtype)
+            placed.append((dtype, count,
+                           self._array_offset(addr, dtype.itemsize, count)))
+        views = [np.frombuffer(self._store, dtype, count, offset)
+                 for dtype, count, offset in placed]
+        # Derived arrays keep their view alive, so these see them too.
+        alive = [weakref.ref(view) for view in views]
+        result = use(*views)
+        del views
+        if any(view() is not None for view in alive):
+            raise BufferError("a view of the simulated store outlived "
+                              "with_arrays")
+        return result
+
     def _array_offset(self, addr: int, itemsize: int, count: int) -> int:
         if count < 0:
             raise ValueError("element count must be non-negative")
@@ -158,10 +190,6 @@ class PhysicalMemory:
     def read_u64(self, addr: int) -> int:
         """Read an aligned 64-bit little-endian word."""
         return self.read(addr, 8)
-
-    def write_u8(self, addr: int, value: int) -> None:
-        """Write one byte."""
-        self.write(addr, 1, value)
 
     def write_u32(self, addr: int, value: int) -> None:
         """Write an aligned 32-bit little-endian word."""

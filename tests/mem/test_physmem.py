@@ -1,5 +1,6 @@
 """Tests for the flat simulated memory."""
 
+import numpy as np
 import pytest
 
 from repro.errors import AlignmentError, SegmentationFault
@@ -93,3 +94,48 @@ def test_allocated_bytes_tracks_brk():
     mem = PhysicalMemory()
     mem.sbrk(100, align=64)
     assert mem.allocated_bytes >= 100
+
+
+def test_with_arrays_writes_the_store_in_place():
+    mem = PhysicalMemory()
+    base = mem.sbrk(64)
+    mem.write_u32(base + 8, 7)
+
+    def edit(words, tail):
+        words[1] += 1
+        tail[:] = 0xAB
+        return int(words.sum())
+
+    assert mem.with_arrays(edit, (base, "<u4", 4), (base + 60, "u1", 4)) \
+        == 8
+    assert mem.read_u32(base + 4) == 1
+    assert mem.read_u32(base + 8) == 7
+    assert mem.read_bytes(base + 60, 4) == b"\xab" * 4
+
+
+@pytest.mark.parametrize("span, error", [
+    ((1, "<u8", 2), AlignmentError),
+    ((0, "<u4", 17), SegmentationFault),
+    ((NULL_PTR, "<u4", 1), SegmentationFault),
+])
+def test_with_arrays_checks_every_span_before_use(span, error):
+    mem = PhysicalMemory()
+    base = mem.sbrk(64)
+    addr, dtype, count = span
+    if addr != NULL_PTR:
+        addr += base
+    calls = []
+    with pytest.raises(error):
+        mem.with_arrays(calls.append, (base, "<u8", 8), (addr, dtype, count))
+    assert calls == []
+    mem._store.close()   # no view left behind
+
+
+def test_with_arrays_refuses_a_view_that_escapes():
+    mem = PhysicalMemory()
+    base = mem.sbrk(64)
+    kept = []
+    with pytest.raises(BufferError):
+        mem.with_arrays(kept.append, (base, np.uint64, 8))
+    kept.clear()
+    mem._store.close()

@@ -4,7 +4,10 @@
 the one-key-at-a-time reference.  Built from the same (key, payload)
 stream they must leave byte-identical simulated memory, equal statistics
 and equal probe results — and on bad input raise the same exception
-type, with ``build`` writing nothing at all.
+type, with ``build`` writing nothing at all.  ``build`` is handed the
+stream as a list or as a ``uint64``, ``int32`` or ``int64`` array
+(negative payloads included, as the kernel's ``np.arange`` payloads are
+signed); the insert loop gets the same values as Python ints.
 """
 
 import hashlib
@@ -25,6 +28,25 @@ from repro.mem.layout import AddressSpace
 
 LAYOUTS = [KERNEL_LAYOUT, WIDE_LAYOUT, monetdb_layout(4), monetdb_layout(8)]
 HASHES = [KERNEL_HASH, ROBUST_HASH_32, ROBUST_HASH_64]
+#: How ``build`` receives keys or payloads: a list or a numpy dtype.
+KINDS = ["list", "uint64", "int32", "int64"]
+SIGNED = ("int32", "int64")
+
+
+def _bounds(kind, low, high):
+    """``[low, high]`` narrowed to what ``kind`` can hold."""
+    if kind == "list":
+        return low, high
+    info = np.iinfo(kind)
+    return max(low, int(info.min)), min(high, int(info.max))
+
+
+def _typed(values, kind):
+    """``values`` as ``kind``; a list where a value does not fit it."""
+    low, high = _bounds(kind, -(1 << 64), 1 << 64)
+    if kind == "list" or not all(low <= value <= high for value in values):
+        return list(values)
+    return np.array(values, dtype=kind)
 
 
 def _index(layout, hash_spec, num_buckets, capacity, column_keys):
@@ -57,12 +79,14 @@ def workloads(draw):
 
     Keys come from a small pool so duplicates are common; 1-4 buckets
     make every chain deep.  Indirect layouts store row ids: the stream
-    is a permutation of some of the base column's rows.
+    is a permutation of some of the base column's rows.  Values fit the
+    drawn key and payload kinds; signed payloads go negative.
     """
     layout = draw(st.sampled_from(LAYOUTS))
     hash_spec = draw(st.sampled_from(HASHES))
     num_buckets = draw(st.sampled_from([1, 2, 4, 16, 256]))
-    top = (1 << (8 * layout.key_bytes)) - 2
+    kinds = draw(st.sampled_from(KINDS)), draw(st.sampled_from(KINDS))
+    _, top = _bounds(kinds[0], 0, (1 << (8 * layout.key_bytes)) - 2)
     pool = draw(st.lists(st.integers(0, top), min_size=1, max_size=8))
     keys = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80))
     if layout.indirect:
@@ -73,16 +97,19 @@ def workloads(draw):
         payloads = list(rows)
     else:
         column_keys = None
-        payloads = draw(st.lists(st.integers(0, (1 << 64) - 1),
-                                 min_size=len(keys), max_size=len(keys)))
+        payloads = draw(st.lists(
+            st.integers(*_bounds(kinds[1], 0, (1 << 64) - 1)),
+            min_size=len(keys), max_size=len(keys)))
     run = draw(st.sampled_from([1, 3, 1 << 16]))
-    return layout, hash_spec, num_buckets, keys, payloads, column_keys, run
+    return (layout, hash_spec, num_buckets, keys, payloads, column_keys,
+            run, kinds)
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=workloads(), split=st.floats(0.0, 1.0))
 def test_build_equals_insert_loop(case, split):
-    layout, hash_spec, num_buckets, keys, payloads, column_keys, run = case
+    (layout, hash_spec, num_buckets, keys, payloads, column_keys, run,
+     kinds) = case
     reference = _index(layout, hash_spec, num_buckets, len(keys),
                        column_keys)
     for key, payload in zip(keys, payloads):
@@ -94,8 +121,8 @@ def test_build_equals_insert_loop(case, split):
     for key, payload in zip(keys[:head], payloads[:head]):
         built.insert(key, payload)
     with mock.patch.object(hashtable, "_BUILD_RUN", run):
-        built.build(np.array(keys[head:], dtype=np.uint64),
-                    payloads[head:])
+        built.build(_typed(keys[head:], kinds[0]),
+                    _typed(payloads[head:], kinds[1]))
     probes = sorted(set(keys)) + [max(keys) + 1]
     assert _state(built, probes) == _state(reference, probes)
 
@@ -112,10 +139,11 @@ def _first_error(index, keys, payloads):
 @settings(max_examples=120, deadline=None)
 @given(case=workloads(), capacity=st.integers(1, 80),
        poison=st.integers(0, 79), kind=st.sampled_from(
-           ["sentinel", "wide", "row", "wrong-key", "none"]))
+           ["sentinel", "wide", "row", "wrong-key", "negative", "none"]))
 def test_build_raises_what_insert_raises_and_writes_nothing(
         case, capacity, poison, kind):
-    layout, hash_spec, num_buckets, keys, payloads, column_keys, run = case
+    (layout, hash_spec, num_buckets, keys, payloads, column_keys, run,
+     kinds) = case
     keys, payloads = list(keys), list(payloads)
     at = poison % len(keys)
     if kind == "sentinel" and not layout.indirect:
@@ -126,19 +154,55 @@ def test_build_raises_what_insert_raises_and_writes_nothing(
         payloads[at] = len(keys) + at
     elif kind == "wrong-key" and layout.indirect:
         keys[at] = column_keys[payloads[at]] ^ 1
+    elif kind == "negative":
+        # Signed arrays only (a list with a negative raises OverflowError
+        # in build).  A negative key or row id fails both ways.
+        if kinds[0] in SIGNED:
+            keys[at] = -1 - poison
+        if layout.indirect and kinds[1] in SIGNED:
+            payloads[at] = -1 - poison
     reference = _index(layout, hash_spec, num_buckets, capacity,
                        column_keys)
     expected = _first_error(reference, keys, payloads)
     built = _index(layout, hash_spec, num_buckets, capacity, column_keys)
     before = _state(built, [])
     with mock.patch.object(hashtable, "_BUILD_RUN", run):
+        typed = _typed(keys, kinds[0]), _typed(payloads, kinds[1])
         if expected is None:
-            built.build(keys, payloads)
+            built.build(*typed)
             assert _state(built, keys) == _state(reference, keys)
         else:
             with pytest.raises(expected):
-                built.build(keys, payloads)
+                built.build(*typed)
             assert _state(built, []) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(buckets=st.lists(st.integers(0, 255), min_size=1, max_size=300),
+       wide=st.booleans())
+def test_composite_key_sort_is_the_stable_bucket_order(buckets, wide):
+    index = _index(KERNEL_LAYOUT, KERNEL_HASH, 256, 1, None)
+    if wide:
+        index.num_buckets = 1 << 62   # no room for the index bits
+    bucket = np.array(buckets, dtype=np.int32)
+    order, grouped = index._group(bucket)
+    stable = np.argsort(bucket, kind="stable")
+    assert order.tolist() == stable.tolist()
+    assert grouped.tolist() == bucket[stable].tolist()
+
+
+@pytest.mark.parametrize("layout", [KERNEL_LAYOUT, WIDE_LAYOUT])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_build_rejects_negative_keys_like_insert(layout, dtype):
+    # Wrapped to uint64, -2 would be a valid 8-byte key.
+    reference = _index(layout, KERNEL_HASH, 4, 4, None)
+    with pytest.raises(ValueError):
+        reference.insert(-2, 1)
+    built = _index(layout, KERNEL_HASH, 4, 4, None)
+    before = _state(built, [])
+    with pytest.raises(ValueError, match="key -2 does not fit"):
+        built.build(np.array([5, -2], dtype=dtype), np.array([1, 2]))
+    assert _state(built, []) == before
 
 
 def test_build_rejects_mismatched_lengths():
