@@ -30,6 +30,7 @@ from functools import partial
 from typing import NamedTuple, Tuple
 
 from ..config import CacheConfig, SystemConfig, TlbConfig
+from ..sim.resources import prune_cycles
 from .cache import CacheLevel
 from .dram import MemoryControllers
 from .interconnect import Crossbar
@@ -124,8 +125,7 @@ class MemoryPath:
             ports._max_now = ready
             cutoff = int(ready - ports._horizon)
             if ports._prune_cursor < cutoff - 50_000:
-                for old in range(ports._prune_cursor, cutoff):
-                    counts.pop(old, None)
+                prune_cycles(counts, ports._prune_cursor, cutoff)
                 ports._prune_cursor = cutoff
         ports.grants.value += 1
         ports.busy_cycles.value += 1.0

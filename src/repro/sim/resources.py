@@ -24,6 +24,16 @@ from .engine import Engine
 from .events import Event
 
 
+def prune_cycles(counts: dict, start: int, stop: int) -> None:
+    """Drop the ``[start, stop)`` cycles from a port occupancy map.
+
+    Walks the map's live keys, not the range: the range can span
+    hundreds of thousands of cycles of which only a few were granted.
+    """
+    for cycle in [cycle for cycle in counts if start <= cycle < stop]:
+        del counts[cycle]
+
+
 class PipelinedResource:
     """``servers`` identical servers, each busy ``service`` cycles per grant.
 
@@ -101,8 +111,7 @@ class PipelinedResource:
         # Amortized pruning of cycles no request can reach anymore.
         cutoff = int(self._max_now - self._horizon)
         if self._prune_cursor < cutoff - 50_000:
-            for old in range(self._prune_cursor, cutoff):
-                counts.pop(old, None)
+            prune_cycles(counts, self._prune_cursor, cutoff)
             self._prune_cursor = cutoff
         return float(cycle)
 
