@@ -93,12 +93,6 @@ class MulticoreRunResult:
             return 0.0
         return self.total_cycles / self.tuples
 
-    @property
-    def throughput_tuples_per_kilocycle(self) -> float:
-        if self.total_cycles == 0:
-            return 0.0
-        return 1000.0 * self.tuples / self.total_cycles
-
 
 def run_multicore_offload(index: HashIndex, probe_column: Column, *,
                           config: SystemConfig = DEFAULT_CONFIG,

@@ -287,15 +287,6 @@ class SystemConfig:
         """A plain nested dict of every parameter, for stable serialization."""
         return asdict(self)
 
-    def cache_key(self) -> str:
-        """Content hash identifying this exact configuration.
-
-        Equal configs hash equally regardless of how they were built
-        (``SystemConfig()`` vs ``replace``-chains), so the persistent
-        measurement cache survives process restarts and config round-trips.
-        """
-        return stable_digest(self.canonical_dict())
-
 
 DEFAULT_CONFIG = SystemConfig()
 

@@ -18,11 +18,6 @@ class DesignPoint:
     energy: float    # normalized
     edp: float       # normalized energy-delay product
 
-    def as_row(self) -> tuple:
-        """(design, runtime, energy, edp) tuple for reports."""
-        return (self.design, round(self.runtime, 3), round(self.energy, 3),
-                round(self.edp, 4))
-
 
 @dataclass
 class EnergyReport:

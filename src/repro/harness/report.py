@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 
 @dataclass
@@ -54,15 +53,6 @@ class Report:
             "rows": [list(row) for row in self.rows],
             "notes": list(self.notes),
         }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The :meth:`to_dict` payload as canonical JSON (sorted keys).
-
-        The single serialization path shared by ``--stats-json`` and the
-        campaign failure manifest; floats round-trip via ``repr``, so
-        serialized reports are bit-stable across runs.
-        """
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def format(self) -> str:
         """Aligned plain-text rendering of the table."""

@@ -101,17 +101,6 @@ class AnalyticalModel:
         supply = self.hash_cycles() * walkers
         return min(1.0, busy / supply)
 
-    def dispatcher_feeds(self, llc_miss_ratio: float, nodes_per_bucket: float,
-                         utilization_floor: float = 0.8) -> int:
-        """Largest walker count one dispatcher feeds at >= the floor."""
-        n = 1
-        while self.walker_utilization(llc_miss_ratio, n + 1,
-                                      nodes_per_bucket) >= utilization_floor:
-            n += 1
-            if n >= 64:
-                break
-        return n
-
 
 def _miss_ratios(steps: int = 11) -> List[float]:
     return [round(i / (steps - 1), 3) for i in range(steps)]

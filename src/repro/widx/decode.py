@@ -122,8 +122,3 @@ def decoded_program(program: Program) -> Tuple[DecodedOp, ...]:
 
     _CACHE[key] = (weakref.ref(program, _drop), ops)
     return ops
-
-
-def decode_cache_size() -> int:
-    """Live entries in the decode cache (for tests and diagnostics)."""
-    return len(_CACHE)

@@ -148,10 +148,6 @@ class Instruction:
     def is_branch(self) -> bool:
         return self.opcode in (Opcode.BA, Opcode.BLE)
 
-    @property
-    def is_memory(self) -> bool:
-        return self.opcode in (Opcode.LD, Opcode.ST, Opcode.TOUCH)
-
     def registers_used(self) -> Tuple[Register, ...]:
         """Every register this instruction names."""
         regs = [r for r in (self.rd, self.ra, self.rb) if r is not None]
