@@ -341,13 +341,12 @@ class HashIndex:
 
         One plain sort of the unique composite keys ``bucket << shift |
         index`` gives the stable order: the low bits are the order, the
-        high bits the grouped buckets.
+        high bits the grouped buckets.  They fit in ``int64`` up to 2**51
+        buckets for a 4K run; no store holds a bucket array that large.
         """
         shift = (len(bucket) - 1).bit_length()
-        if (self.num_buckets - 1).bit_length() + shift > 63:
-            # Past int64 (2**51 buckets for a 4K run): sort stably.
-            order = np.argsort(bucket, kind="stable")
-            return order, bucket[order]
+        assert (self.num_buckets - 1).bit_length() + shift <= 63, \
+            "composite bucket keys overflow int64"
         composite = bucket.astype(np.int64)
         composite <<= shift
         composite |= np.arange(len(bucket))

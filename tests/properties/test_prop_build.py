@@ -97,8 +97,9 @@ def workloads(draw):
         payloads = list(rows)
     else:
         column_keys = None
+        low = -(1 << 63) if kinds[1] in SIGNED else 0
         payloads = draw(st.lists(
-            st.integers(*_bounds(kinds[1], 0, (1 << 64) - 1)),
+            st.integers(*_bounds(kinds[1], low, (1 << 64) - 1)),
             min_size=len(keys), max_size=len(keys)))
     run = draw(st.sampled_from([1, 3, 1 << 16]))
     return (layout, hash_spec, num_buckets, keys, payloads, column_keys,
@@ -178,17 +179,21 @@ def test_build_raises_what_insert_raises_and_writes_nothing(
 
 
 @settings(max_examples=100, deadline=None)
-@given(buckets=st.lists(st.integers(0, 255), min_size=1, max_size=300),
-       wide=st.booleans())
-def test_composite_key_sort_is_the_stable_bucket_order(buckets, wide):
+@given(buckets=st.lists(st.integers(0, 255), min_size=1, max_size=300))
+def test_composite_key_sort_is_the_stable_bucket_order(buckets):
     index = _index(KERNEL_LAYOUT, KERNEL_HASH, 256, 1, None)
-    if wide:
-        index.num_buckets = 1 << 62   # no room for the index bits
     bucket = np.array(buckets, dtype=np.int32)
     order, grouped = index._group(bucket)
     stable = np.argsort(bucket, kind="stable")
     assert order.tolist() == stable.tolist()
     assert grouped.tolist() == bucket[stable].tolist()
+
+
+def test_composite_key_past_int64_is_refused():
+    index = _index(KERNEL_LAYOUT, KERNEL_HASH, 256, 1, None)
+    index.num_buckets = 1 << 62   # 62 bucket bits + a 3-key run's 2
+    with pytest.raises(AssertionError, match="overflow int64"):
+        index._group(np.array([2, 1, 0], dtype=np.int32))
 
 
 @pytest.mark.parametrize("layout", [KERNEL_LAYOUT, WIDE_LAYOUT])
