@@ -48,19 +48,8 @@ from .uops import (BRANCH_PREV, LOOP_TAIL, LOOP_TAIL_MISPREDICTED, TEST_PREV,
 
 def warm_ordered_index(memory: MemoryHierarchy, index) -> None:
     """Functionally install an ordered structure's working set in the LLC."""
-    if isinstance(index, BPlusTree):
-        memory.warm_range(index.region.base, index.footprint_bytes)
-    elif isinstance(index, MlpTrie):
-        memory.warm_range(index.buckets.base, index.buckets.size)
-        if index.overflow is not None:
-            memory.warm_range(index.overflow.base, index.overflow.size)
-    elif isinstance(index, WormholeIndex):
-        memory.warm_range(index.leaves.base, index.leaves.size)
-        memory.warm_range(index.meta.base, index.meta.size)
-        if index.overflow is not None:
-            memory.warm_range(index.overflow.base, index.overflow.size)
-    else:
-        raise TypeError(f"not an ordered index: {type(index).__name__}")
+    for base, size in index.working_set():
+        memory.warm_range(base, size)
 
 
 class TreeTraceGenerator(TraceGenerator):

@@ -8,7 +8,7 @@ the remaining probes, reporting a 95% confidence interval over batch means.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..config import SystemConfig, DEFAULT_CONFIG
 from ..db.column import Column
@@ -22,21 +22,9 @@ from .trace import ProbeTraceGenerator
 from .uops import Uop
 
 
-def hash_index_regions(index: HashIndex) -> List[Tuple[int, int]]:
-    """The ``(base, bytes)`` ranges holding an index's working set."""
-    regions = [(index.buckets.base, index.buckets.size)]
-    used_node_bytes = index.footprint_bytes - index.buckets.size
-    if used_node_bytes > 0:
-        regions.append((index.nodes.base, used_node_bytes))
-    if index.layout.indirect and index.key_column is not None:
-        region = index.key_column.region
-        regions.append((region.base, region.size))
-    return regions
-
-
 def warm_hash_index(memory: MemoryHierarchy, index: HashIndex) -> None:
     """Functionally install an index's working set in the LLC (and TLB)."""
-    for base, size in hash_index_regions(index):
+    for base, size in index.working_set():
         memory.warm_range(base, size)
 
 

@@ -245,6 +245,11 @@ class BPlusTree:
     def footprint_bytes(self) -> int:
         return self._next_node - self.region.base
 
+    def working_set(self) -> List[Tuple[int, int]]:
+        """The ``(base, bytes)`` ranges a traversal touches, in warm
+        order: the nodes allocated so far."""
+        return [(self.region.base, self.footprint_bytes)]
+
 
 def batched_search(tree: BPlusTree, keys: Sequence[int],
                    visit_log: Optional[List[int]] = None) -> List[Optional[int]]:

@@ -25,7 +25,7 @@ from ..errors import InvariantViolation, PlanError
 from ..mem.layout import AddressSpace, Region
 from ..mem.physmem import NULL_PTR
 from .column import Column
-from .hashfn import HashSpec
+from .hashfn import MASK64, HashSpec
 from .node import NodeLayout
 
 
@@ -71,18 +71,31 @@ def _record_dtype(layout: NodeLayout) -> np.dtype:
 _BUILD_RUN = 1 << 12
 
 
-def _as_unsigned(values: Sequence[int]) -> np.ndarray:
-    """Unsigned arrays as they are; ``int64`` arrays viewed as ``uint64``
-    and other arrays converted to it, negatives wrapped to two's
-    complement as :meth:`PhysicalMemory.write` masks them; other
-    sequences exactly (outside ``[0, 2**64)`` raises)."""
+def _as_unsigned(values: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """``values`` as ``uint64``, and as given (to find and show those
+    outside ``[0, 2**64)``).  Values outside wrap to 64 bits, as
+    :meth:`PhysicalMemory.write` masks them: unsigned arrays stay as they
+    are, ``int64`` arrays are viewed as ``uint64``, other arrays are
+    converted, and other sequences go through Python ints."""
     if not isinstance(values, np.ndarray):
-        return np.array(values, dtype=np.uint64)
+        given = np.array([int(value) for value in values], dtype=object)
+        return (given & MASK64).astype(np.uint64), given
     if values.dtype.kind == "u":
-        return values
+        return values, values
     if values.dtype == np.int64:
-        return values.view(np.uint64)
-    return values.astype(np.uint64)
+        return values.view(np.uint64), values
+    return values.astype(np.uint64), values
+
+
+def _outside(given: np.ndarray) -> np.ndarray:
+    """Where values as :func:`_as_unsigned` got them lie outside
+    ``[0, 2**64)``: no layout takes them as keys or row ids."""
+    if given.dtype.kind == "u":
+        return np.zeros(len(given), bool)
+    outside = given < 0
+    if given.dtype == object:
+        outside |= given > MASK64
+    return outside
 
 
 @dataclass
@@ -262,8 +275,8 @@ class HashIndex:
         the checks, the second lays each run out in place, through views
         of the bucket array and the node heap in the store.
         """
-        signed = isinstance(keys, np.ndarray) and keys.dtype.kind == "i"
-        keys, payloads = _as_unsigned(keys), _as_unsigned(payloads)
+        keys, given_keys = _as_unsigned(keys)
+        payloads, given_payloads = _as_unsigned(payloads)
         if len(keys) != len(payloads):
             raise ValueError("keys and payloads must have equal length")
         if len(keys) == 0:
@@ -277,7 +290,8 @@ class HashIndex:
         runs = [slice(start, start + _BUILD_RUN)
                 for start in range(0, len(keys), _BUILD_RUN)]
         room = (self.nodes.end - self._next_node) // self.layout.stride
-        self._check(keys, payloads, column_keys, runs, room, signed)
+        self._check(keys, payloads, given_keys, given_payloads, column_keys,
+                    runs, room)
 
         def lay_out(headers: np.ndarray, nodes: np.ndarray) -> int:
             used = 0
@@ -294,8 +308,9 @@ class HashIndex:
         self.num_keys += len(keys)
 
     def _check(self, keys: np.ndarray, payloads: np.ndarray,
+               given_keys: np.ndarray, given_payloads: np.ndarray,
                column_keys: Optional[np.ndarray], runs: List[slice],
-               room: int, signed: bool) -> None:
+               room: int) -> None:
         """Raise what a per-key :meth:`insert` loop would raise first.
 
         The node heap can run out only when it has room for fewer nodes
@@ -312,8 +327,8 @@ class HashIndex:
             homeless = ()
             if occupied is not None:
                 homeless, room = self._homeless(keys[run], occupied, room)
-            self._check_run(keys[run], payloads[run], column_keys, homeless,
-                            signed)
+            self._check_run(keys[run], payloads[run], given_keys[run],
+                            given_payloads[run], column_keys, homeless)
 
     def _homeless(self, keys: np.ndarray, occupied: np.ndarray,
                   room: int) -> Tuple[Sequence[int], int]:
@@ -404,39 +419,39 @@ class HashIndex:
         return used + len(spill)
 
     def _check_run(self, keys: np.ndarray, payloads: np.ndarray,
+                   given_keys: np.ndarray, given_payloads: np.ndarray,
                    column_keys: Optional[np.ndarray],
-                   homeless: Sequence[int], signed: bool) -> None:
+                   homeless: Sequence[int]) -> None:
         """Raise what a per-key :meth:`insert` loop over one run would
         raise first; ``homeless`` holds the first key (if any) the node
-        heap has no room for.  ``signed`` keys came from a signed array:
-        viewed as ``int64`` again they show the negatives, which no
-        layout takes, that the wrap to ``uint64`` hid."""
+        heap has no room for.  Errors show keys and row ids as given:
+        a value outside ``[0, 2**64)`` wrapped to ``uint64`` could pass
+        for a valid one."""
         layout = self.layout
         failures = []   # (index of the failing key, error), checks in order
-        shown = keys.view(np.int64) if signed else keys
-        negative = shown < 0 if signed else False
+        wrapped = _outside(given_keys)
         if column_keys is not None:
             rows = len(column_keys)
-            in_range = payloads < rows
+            in_range = (payloads < rows) & ~_outside(given_payloads)
             outside = np.flatnonzero(~in_range)
             if len(outside):
                 failures.append((outside[0], IndexError(
-                    f"row {int(payloads[outside[0]])} out of range for "
-                    f"column {self.key_column.name!r}")))
+                    f"row {int(given_payloads[outside[0]])} out of range "
+                    f"for column {self.key_column.name!r}")))
             row_keys = np.zeros(len(keys), column_keys.dtype)
             row_keys[in_range] = column_keys[payloads[in_range]
                                              .astype(np.intp)]
-            wrong = np.flatnonzero(in_range & ((row_keys != keys) | negative))
+            wrong = np.flatnonzero(in_range & ((row_keys != keys) | wrapped))
             if len(wrong):
                 at = wrong[0]
                 failures.append((at, PlanError(
                     f"row {int(payloads[at])} holds key "
-                    f"{int(row_keys[at])}, not {int(shown[at])}")))
+                    f"{int(row_keys[at])}, not {int(given_keys[at])}")))
         else:
-            wide = np.flatnonzero((keys > _max_key(layout)) | negative)
+            wide = np.flatnonzero((keys > _max_key(layout)) | wrapped)
             if len(wide):
                 failures.append((wide[0], ValueError(
-                    f"key {int(shown[wide[0]])} does not fit "
+                    f"key {int(given_keys[wide[0]])} does not fit "
                     f"{layout.key_bytes} bytes")))
             clash = np.flatnonzero(keys == layout.empty_sentinel)
             if len(clash):
@@ -516,3 +531,16 @@ class HashIndex:
     def footprint_bytes(self) -> int:
         """Bytes the index actually touches (buckets + used overflow nodes)."""
         return self.buckets.size + (self._next_node - self.nodes.base)
+
+    def working_set(self) -> List[Tuple[int, int]]:
+        """The ``(base, bytes)`` ranges a probe touches, in warm order:
+        the buckets, the used overflow nodes, then (indirect layouts)
+        the base key column."""
+        regions = [(self.buckets.base, self.buckets.size)]
+        used_node_bytes = self._next_node - self.nodes.base
+        if used_node_bytes > 0:
+            regions.append((self.nodes.base, used_node_bytes))
+        if self.layout.indirect and self.key_column is not None:
+            region = self.key_column.region
+            regions.append((region.base, region.size))
+        return regions

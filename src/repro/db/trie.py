@@ -281,6 +281,13 @@ class MlpTrie:
             total += self.overflow.size
         return total
 
+    def working_set(self) -> List[Tuple[int, int]]:
+        """The ``(base, bytes)`` ranges a traversal touches, in warm
+        order: the buckets, then any overflow."""
+        regions = [self.buckets, self.overflow]
+        return [(region.base, region.size) for region in regions
+                if region is not None]
+
 
 def _terminal_depths(sorted_keys: List[int]) -> List[int]:
     """Terminal depth per key: one nibble past the longest prefix it

@@ -292,3 +292,10 @@ class WormholeIndex:
         if self.overflow is not None:
             total += self.overflow.size
         return total
+
+    def working_set(self) -> List[Tuple[int, int]]:
+        """The ``(base, bytes)`` ranges a traversal touches, in warm
+        order: the leaves, the meta table, then any overflow."""
+        regions = [self.leaves, self.meta, self.overflow]
+        return [(region.base, region.size) for region in regions
+                if region is not None]

@@ -145,8 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--serve-slo", type=float, default=None,
                         metavar="CYCLES", dest="serve_slo",
                         help="latency SLO in cycles for the fig-serve sweep; "
-                             "adds goodput/shed columns via the resilient "
-                             "serving path (default: off)")
+                             "adds goodput/shed columns (default: off)")
     parser.add_argument("--serve-controller", default=None, metavar="SPEC",
                         dest="serve_controller",
                         help="degraded-mode controller for the fig-serve "

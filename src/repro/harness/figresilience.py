@@ -33,7 +33,7 @@ from .report import Report
 from .runner import MeasurementCache
 
 #: Fault rates swept, in walker deaths per walker per megacycle.  Zero is
-#: the control row — bit-identical latency to a fault-free resilient run.
+#: the control row — bit-identical latency to a fault-free run.
 FAULT_RATES: Tuple[float, ...] = (0.0, 4.0, 16.0)
 
 #: Offered loads swept, as fractions of each backend's fault-free

@@ -122,8 +122,9 @@ def sweep_backend(cache: MeasurementCache, model: ServiceModel,
                   ) -> List[ServeResult]:
     """Sweep offered load for one backend; one ServeResult per level.
 
-    ``resilience`` routes each level through the resilient serving path
-    (SLO accounting, degraded-mode controller).
+    ``resilience`` arms the serving core's SLO accounting and
+    degraded-mode controller for each level; every level runs on the
+    one discrete-event driver either way.
     """
     cores = cache.config.num_cores
     saturation = cores * model.saturation_rate()
@@ -146,8 +147,8 @@ def run_fig_serve(cache: MeasurementCache,
     """The serving figure: offered load vs achieved throughput and
     latency percentiles, per backend.
 
-    ``slo`` (cycles) adds goodput/shed columns via the resilient serving
-    path; ``controller_spec`` (see :func:`~repro.serve.control
+    ``slo`` (cycles) arms SLO accounting and adds goodput/shed columns;
+    ``controller_spec`` (see :func:`~repro.serve.control
     .parse_controller`) additionally closes the degraded-mode control
     loop.  ``include_pim`` sweeps the bank-side walker backend alongside
     the others (``--pim``) — its service times carry the per-batch
@@ -155,7 +156,8 @@ def run_fig_serve(cache: MeasurementCache,
     survive a serving workload's small batches.  ``include_batched``
     sweeps the level-wise batched B+-tree backend (``--batched-tree``),
     calibrated on the ordered-index zoo's Small tree.  All default off,
-    leaving the report byte-identical to the pre-resilience figure.
+    leaving the report byte-identical to the original throughput–latency
+    figure.
     """
     parse_policy(policy_spec)  # fail fast on a bad spec
     resilience = None

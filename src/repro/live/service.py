@@ -13,7 +13,10 @@ tests drive the same object from a :class:`~repro.live.clock.ManualClock`
 with no asyncio (and so no host-speed dependence) at all.
 
 Policy, admission, shedding, deadlines, SLO accounting and the
-degraded-mode controller all come from the core unchanged.  The live
+degraded-mode controller all come from the core unchanged.  Walker
+faults do not: a live batch is priced once, when it starts, so an
+active fault model is refused rather than served without its mid-batch
+aborts.  The live
 layer adds one adaptation of its own on top of the controller's level
 delta: **elastic walker allocation** — the service runs power-frugal on
 ``walkers_min`` active walkers (service cycles scale by
@@ -64,6 +67,13 @@ class LiveService:
                                                None]] = None) -> None:
         if cores < 1:
             raise ServeError(f"need at least one core, got {cores}")
+        if (resilience is not None and resilience.faults is not None
+                and resilience.faults.active):
+            # A batch is priced once, when it starts; aborting it at a
+            # mid-batch walker death is the discrete-event driver's job.
+            raise ServeError(
+                "the live service does not model walker faults; run "
+                "faulted serving through repro.serve.simulate")
         if policy is None:
             policy = parse_policy("fifo")
         elif isinstance(policy, str):

@@ -3,7 +3,7 @@
 The paper measures one-shot bulk probes; this package asks the follow-on
 question a database serving layer cares about: what throughput–latency
 curve does each backend trace when requests *arrive* instead of being
-handed over in bulk?  Six pieces:
+handed over in bulk?  Seven pieces:
 
 * :mod:`~repro.serve.arrivals` — seeded open-loop arrival processes
   (deterministic and Poisson) emitting probe-batch requests.
@@ -20,11 +20,12 @@ handed over in bulk?  Six pieces:
   clock-free state machine (:class:`~repro.serve.core.ServingCore`)
   holding every admission/shedding/deadline/SLO/controller decision,
   driven by explicit timestamps.
-* :mod:`~repro.serve.simulate` — the discrete-event *driver* over the
-  core, with end-to-end latency recorded into an observability
-  :class:`~repro.obs.metrics.Distribution` for p50/p95/p99 extraction,
-  and the opt-in resilient path tying the above together.  The
-  wall-clock driver is :mod:`repro.live`.
+* :mod:`~repro.serve.simulate` — the discrete-event *driver*: one
+  source, one server per core and an optional controller tick feeding
+  the core engine timestamps, for every run with or without resilience
+  features armed.  End-to-end latency lands in an observability
+  :class:`~repro.obs.metrics.Distribution` for p50/p95/p99 extraction.
+  The wall-clock driver is :mod:`repro.live`.
 
 The ``fig-serve`` and ``fig-resilience`` CLI verbs
 (:mod:`repro.harness.figserve`, :mod:`repro.harness.figresilience`)

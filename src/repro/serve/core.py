@@ -9,16 +9,20 @@ that can produce a monotonic time can run it.
 
 Two drivers exist:
 
-* the discrete-event path (:mod:`repro.serve.simulate`) feeds it
-  simulated cycles from the event engine — the figure-rendering path,
-  pinned byte-for-byte by the committed golden reports;
-* the wall-clock path (:mod:`repro.live`) maps ``time.monotonic`` onto
-  cycles and drives the same state machine from asyncio.
+* the discrete-event driver (:mod:`repro.serve.simulate`) feeds it
+  simulated cycles from the event engine.  Every simulated run, with
+  resilience features armed or not, goes through it; the committed
+  golden reports pin its event schedule byte for byte;
+* the wall-clock driver (:mod:`repro.live`) maps ``time.monotonic`` onto
+  cycles and drives the same state machine from asyncio.  It prices a
+  batch once, when it starts, so it refuses an active walker-fault
+  model (mid-batch aborts are the discrete-event driver's).
 
-Because the core is pure policy over timestamps, proving the extraction
-behavior-preserving reduces to proving the DES driver emits the same
-event schedule — which the golden fig-serve report checks
-bit-for-bit.
+The ``serve.shed``, ``serve.expired`` and ``serve.aborts`` counters are
+published only when a run arms a resilience feature (a ``shed:`` or
+``timeout:`` wrapper, an explicit ``queue_depth``, or an active
+:class:`ResilienceConfig`); otherwise they stay unregistered zeros, and
+the stats snapshot is that of a plain throughput–latency run.
 """
 
 from __future__ import annotations
@@ -179,9 +183,8 @@ class ServingCore:
         self.scope = scope
         self.model = model
         self.cores = cores
-        # Serve-scope metrics, in the registration order the resilient
-        # DES path always used (snapshot layout is part of the golden
-        # contract).
+        # Serve-scope metrics, in a fixed registration order (snapshot
+        # layout is part of the golden contract).
         self.latency = scope.distribution("latency")
         self.completed = scope.counter("completed")
         self.batches = scope.counter("batches")
@@ -194,14 +197,17 @@ class ServingCore:
                   if d is not None]
         self.static_depth = min(depths) if depths else None
         self.slo = resilience.slo if resilience is not None else None
-        self.shed = scope.counter("shed")
-        self.expired = scope.counter("expired")
-        self.aborts = scope.counter("aborts")
+        # The drop counters are published only when a resilience feature
+        # is armed; a run with none keeps them as unregistered zeros.
+        armed = (self.static_depth is not None or self.timeout is not None
+                 or (resilience is not None and resilience.active))
+        self.shed, self.expired, self.aborts = (
+            scope.counter(name) if armed else Counter()
+            for name in ("shed", "expired", "aborts"))
         self.in_slo = (scope.counter("in_slo")
                        if self.slo is not None else None)
         self.servers_live = cores
         self.last_done = 0.0
-        self.completions = 0
         self.controller: Optional[Controller] = None
         self.controller_depth: Optional[int] = None
         self.spares_used = 0
@@ -210,6 +216,10 @@ class ServingCore:
             self.controller = Controller(resilience.controller,
                                          resilience.slo)
             self._window = Distribution()
+        # Whether an admission bound can ever apply: a static depth, or
+        # one a controller may impose mid-run.
+        self.bounded = (self.static_depth is not None
+                        or self.controller is not None)
         self.faults_model = resilience.faults if resilience is not None \
             else None
         fallback = resilience.fallback if resilience is not None else None
@@ -298,7 +308,6 @@ class ServingCore:
             if window is not None:
                 window.record(request_latency)
         self.completed.value += len(batch)
-        self.completions += len(batch)
         self.last_done = done
 
     def record_abort(self, busy: float) -> None:
@@ -355,7 +364,7 @@ class ServingCore:
         last completion; the makespan is still the last completion.
         """
         makespan = (self.last_done
-                    if self.controller is not None and self.completions
+                    if self.controller is not None and self.completed.value
                     else end)
         self.fault_total = 0
         if self.faults_model is not None and self.faults_model.active:

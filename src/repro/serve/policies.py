@@ -17,7 +17,7 @@ Three policies, in increasing willingness to trade latency for batching:
   (optionally capped).
 
 On top of those, two composable *admission wrappers* (the resilience
-layer; see :mod:`repro.serve.simulate`):
+layer; see :mod:`repro.serve.core`):
 
 * :class:`ShedPolicy` (``shed:QDEPTH:<inner>``) — bounded admission: an
   arrival that finds ``QDEPTH`` requests already queued on its core is
@@ -27,10 +27,11 @@ layer; see :mod:`repro.serve.simulate`):
   deadline of ``CYCLES`` after arrival; requests past it are dropped
   (expired) whether they are still queued or would expire mid-service.
 
-Wrappers only *declare* the admission semantics — the resilient serving
-path in :func:`~repro.serve.simulate.simulate_service` enforces them at
-the source and server; a wrapper's ``collect`` simply delegates to its
-inner policy, so wrapped policies stay usable anywhere a policy is.
+Wrappers only *declare* the admission semantics — the
+:class:`~repro.serve.core.ServingCore` enforces them for every driver
+(:func:`~repro.serve.simulate.simulate_service` and :mod:`repro.live`);
+a wrapper's ``collect`` simply delegates to its inner policy, so wrapped
+policies stay usable anywhere a policy is.
 """
 
 from __future__ import annotations
@@ -140,9 +141,10 @@ class AdmissionWrapper(SchedulingPolicy):
     """Base for policies that wrap another policy with admission semantics.
 
     ``collect`` delegates to the wrapped policy — the shed/timeout
-    behavior itself is enforced by the resilient serving path, which
-    reads the wrapper's declaration via :func:`admission_depth` /
-    :func:`request_timeout`.
+    behavior itself is enforced by the
+    :class:`~repro.serve.core.ServingCore`, which reads the wrapper's
+    declaration via :func:`admission_depth` / :func:`request_timeout`
+    and arms its admission bound and deadline drops from it.
     """
 
     def __init__(self, inner: SchedulingPolicy) -> None:

@@ -12,21 +12,18 @@ to hold the whole request stream, so offered load beyond saturation
 builds backlog and latency instead of slowing the source — the regime
 the throughput–latency figure exists to show.
 
-**Resilience.**  The happy path above is byte-for-byte the PR 6 serving
-simulation.  A run becomes *resilient* only when asked: a ``shed:`` /
-``timeout:`` policy wrapper, an explicit ``queue_depth``, or a
+**One driver.**  Every run builds one
+:class:`~repro.serve.core.ServingCore`, which holds every serving
+*decision*: admission bounds, shedding, deadline drops, walker-fault
+capacity, SLO accounting and the degraded-mode controller.  This
+module's source, server and controller processes only feed it engine
+timestamps.  A run arms those features when asked — a ``shed:`` /
+``timeout:`` policy wrapper, an explicit ``queue_depth``, or an active
 :class:`~repro.serve.core.ResilienceConfig` (SLO, fault model,
-controller).  Plain runs never touch the resilient code, which is what
-keeps fig-serve's output bit-identical to the pre-resilience tree.
-
-**Layering.**  Since the core extraction, every serving *decision* —
-admission bounds, shedding, deadline drops, SLO accounting, the
-degraded-mode controller — lives in the transport-agnostic
-:class:`~repro.serve.core.ServingCore`; this module's resilient
-source/server/controller processes are thin drivers that feed it
-engine timestamps.  The same core drives the wall-clock
-:mod:`repro.live` service, and the committed golden reports pin this
-driver's event schedule byte-for-byte across the refactor.
+controller) — and the processes skip each check that cannot fire, so a
+run with none armed keeps the event schedule of the original
+throughput–latency simulation (the fig-serve golden pins it byte for
+byte).  The same core drives the wall-clock :mod:`repro.live` service.
 """
 
 from __future__ import annotations
@@ -34,13 +31,14 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..errors import ServeError
-from ..obs import Counter, StatsRegistry
+from ..obs import StatsRegistry
 from ..sim.engine import Engine
 from ..sim.resources import BoundedQueue
 from .arrivals import (ArrivalProcess, DeterministicArrivals, PoissonArrivals,
                        Request, merge_requests)
 from .core import ResilienceConfig, ServeResult, ServingCore, validate_run
-from .policies import SchedulingPolicy, admission_depth, request_timeout
+from .faults import CoreCapacity
+from .policies import SchedulingPolicy
 from .service import ServiceModel
 
 # Compatibility re-exports: ResilienceConfig/ServeResult moved to
@@ -53,70 +51,41 @@ __all__ = [
 
 
 def _source(engine: Engine, requests: Sequence[Request],
-            queues: List[BoundedQueue]):
-    """Emit each request at its arrival time, round-robin across cores."""
-    cores = len(queues)
-    for request in requests:
-        delay = request.arrival - engine.now
-        if delay > 0:
-            yield delay
-        yield queues[request.seq % cores].put(request)
-    for queue in queues:
-        queue.close()
+            queues: List[BoundedQueue], core: ServingCore):
+    """Emit each request at its arrival time, round-robin across cores.
 
-
-def _server(engine: Engine, queue: BoundedQueue, policy: SchedulingPolicy,
-            model: ServiceModel, latency, completed, batches,
-            busy_cycles):
-    """Collect batches through the policy and serve them to completion."""
-    while True:
-        batch = yield from policy.collect(queue)
-        if batch is None:
-            return
-        cycles = model.cycles_for(len(batch))
-        yield cycles
-        done = engine.now
-        batches.value += 1
-        busy_cycles.value += cycles
-        for request in batch:
-            latency.record(done - request.arrival)
-            completed.value += 1
-
-
-def _resilient_source(engine: Engine, requests: Sequence[Request],
-                      queues: List[BoundedQueue], core: ServingCore):
-    """The open-loop source with bounded admission.
-
-    Identical yield pattern to :func:`_source` except that an arrival
-    finding its core's queue at the admission bound is shed (when a shed
-    depth is declared) or raises — the satellite contract that open-loop
-    admission must never silently block.
+    An arrival finding its core's queue at the admission bound is shed
+    (when a shed depth is declared) or raises — open-loop admission
+    never silently blocks.  Without a static depth or a controller no
+    bound can ever apply, so admission is skipped.
     """
     cores = len(queues)
-    try_admit = core.try_admit
+    try_admit = core.try_admit if core.bounded else None
     for request in requests:
         delay = request.arrival - engine.now
         if delay > 0:
             yield delay
         queue = queues[request.seq % cores]
-        if not try_admit(len(queue), queue.name):
+        if try_admit is not None and not try_admit(len(queue), queue.name):
             continue
         yield queue.put(request)
     for queue in queues:
         queue.close()
 
 
-def _resilient_server(engine: Engine, queue: BoundedQueue,
-                      core: ServingCore, capacity):
-    """The per-core server under deadlines, faults, and policy swaps.
+def _server(engine: Engine, queue: BoundedQueue, core: ServingCore,
+            capacity: CoreCapacity):
+    """Collect batches through the core's active policy and serve them.
 
-    Matches :func:`_server` yield-for-yield when no deadline filters and
-    no death interrupts a batch — the clean-path bit-parity the
-    fault-rate-zero acceptance check relies on.
+    Requests that would miss their deadline are dropped before a batch
+    commits, and a walker death inside a batch aborts it at the death
+    instant.  Each check is skipped when it cannot fire: deadline drops
+    without a timeout, and the death check (with capacity scaling) on a
+    core that has no deaths, which serves at the calibrated model.
     """
-    drop_doomed = core.drop_doomed
-    cycles_for = capacity.cycles_for
-    next_death_after = capacity.next_death_after
+    drop_doomed = core.drop_doomed if core.timeout is not None else None
+    deaths = bool(capacity.deaths)
+    model_cycles = capacity.model.cycles_for
     finish_batch = core.finish_batch
     while True:
         # core.active is re-read per batch: the controller swaps it.
@@ -126,18 +95,22 @@ def _resilient_server(engine: Engine, queue: BoundedQueue,
             return
         while batch:
             start = engine.now
-            batch = drop_doomed(batch, start, capacity)
-            if not batch:
-                break
-            cycles = cycles_for(len(batch), start)
-            death = next_death_after(start)
-            if death is not None and death < start + cycles:
-                # A walker dies mid-batch: the offload aborts at the
-                # death instant and the whole batch re-serves under the
-                # degraded capacity (traversals are all-or-nothing).
-                yield death - start
-                core.record_abort(death - start)
-                continue
+            if drop_doomed is not None:
+                batch = drop_doomed(batch, start, capacity)
+                if not batch:
+                    break
+            if not deaths:
+                cycles = model_cycles(len(batch))
+            else:
+                cycles = capacity.cycles_for(len(batch), start)
+                death = capacity.next_death_after(start)
+                if death is not None and death < start + cycles:
+                    # The offload aborts at the death instant and the
+                    # whole batch re-serves under the degraded capacity
+                    # (traversals are all-or-nothing).
+                    yield death - start
+                    core.record_abort(death - start)
+                    continue
             yield cycles
             finish_batch(batch, cycles, engine.now)
             break
@@ -168,91 +141,35 @@ def simulate_service(requests: Sequence[Request], model: ServiceModel, *,
     deterministic: one engine, deterministic dispatch, no randomness
     outside the arrival times baked into ``requests``.
 
-    ``resilience`` and ``queue_depth`` (and ``shed:``/``timeout:``
-    policy wrappers) switch the run onto the resilient source/server
-    pair; without them the original plain path runs, untouched.
+    Every run drives one :class:`~repro.serve.core.ServingCore`.
+    ``queue_depth``, ``shed:``/``timeout:`` policy wrappers and
+    ``resilience`` arm its admission bound, deadlines, walker faults,
+    SLO accounting and controller; with none of them armed the core
+    only times and records the batches.
     """
     validate_run(requests, model, cores)
     if queue_depth is not None and queue_depth < 1:
         raise ServeError(f"queue_depth must be >= 1, got {queue_depth}")
-    resilient = (queue_depth is not None
-                 or admission_depth(policy) is not None
-                 or request_timeout(policy) is not None
-                 or (resilience is not None and resilience.active))
-    if resilient:
-        return _simulate_resilient(requests, model, policy=policy,
-                                   cores=cores, offered=offered,
-                                   registry=registry, resilience=resilience,
-                                   queue_depth=queue_depth)
-
     if registry is None:
         registry = StatsRegistry()
-    scope = registry.scope("serve")
-    latency = scope.distribution("latency")
-    completed = scope.counter("completed")
-    batches = scope.counter("batches")
-    busy_cycles = scope.register("busy_cycles", Counter(0.0))
+    core = ServingCore(policy, model, cores, queue_depth=queue_depth,
+                       resilience=resilience, scope=registry.scope("serve"))
 
     engine = Engine()
     # Queues sized to the whole stream keep the source open-loop: an
-    # arrival is never back-pressured, overload turns into backlog.
+    # arrival is never back-pressured, overload turns into backlog.  The
+    # admission *bound* is the source's to enforce (a controller can
+    # tighten it mid-run, which a fixed queue capacity could not).
     queues = [BoundedQueue(engine, max(1, len(requests)), name=f"core{i}.admit")
               for i in range(cores)]
     for i, queue in enumerate(queues):
         queue.register_into(registry, f"serve.core{i}.queue")
         engine.monitor_resource(queue.name, queue)
-    engine.process(_source(engine, requests, queues), name="serve.source")
-    for i, queue in enumerate(queues):
-        engine.process(
-            _server(engine, queue, policy, model, latency, completed,
-                    batches, busy_cycles),
-            name=f"serve.core{i}.server")
-    makespan = engine.run()
-    engine.register_into(registry, "serve.engine")
-
-    return ServeResult(
-        label=model.label, policy=policy.name, offered=offered, cores=cores,
-        requests=len(requests), completed=int(completed.value),
-        makespan=makespan, latency=latency,
-        first_arrival=min(request.arrival for request in requests),
-        stats=registry.to_dict())
-
-
-def _simulate_resilient(requests: Sequence[Request], model: ServiceModel, *,
-                        policy: SchedulingPolicy, cores: int, offered: float,
-                        registry: Optional[StatsRegistry],
-                        resilience: Optional[ResilienceConfig],
-                        queue_depth: Optional[int]) -> ServeResult:
-    """The resilient twin of the plain serving run.
-
-    Same engine, same queue sizing, same per-core layout; the
-    :class:`~repro.serve.core.ServingCore` adds bounded admission,
-    per-request deadlines, the walker-fault capacity model, and
-    (optionally) the degraded-mode controller.  With everything disabled
-    but an SLO, the event schedule is identical to the plain path — only
-    the in-SLO accounting differs.
-    """
-    if registry is None:
-        registry = StatsRegistry()
-    scope = registry.scope("serve")
-    core = ServingCore(policy, model, cores, queue_depth=queue_depth,
-                       resilience=resilience, scope=scope)
-
-    engine = Engine()
-    # Queue capacity stays open-loop-sized; the admission *bound* is
-    # enforced by the resilient source (it can tighten mid-run under a
-    # controller, which a fixed queue capacity could not express).
-    queues = [BoundedQueue(engine, max(1, len(requests)), name=f"core{i}.admit")
-              for i in range(cores)]
-    for i, queue in enumerate(queues):
-        queue.register_into(registry, f"serve.core{i}.queue")
-        engine.monitor_resource(queue.name, queue)
-    engine.process(_resilient_source(engine, requests, queues, core),
+    engine.process(_source(engine, requests, queues, core),
                    name="serve.source")
     for i, queue in enumerate(queues):
-        engine.process(
-            _resilient_server(engine, queue, core, core.capacities[i]),
-            name=f"serve.core{i}.server")
+        engine.process(_server(engine, queue, core, core.capacities[i]),
+                       name=f"serve.core{i}.server")
     if core.controller is not None:
         engine.process(_controller_proc(engine, core),
                        name="serve.controller")

@@ -29,7 +29,6 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SystemConfig, DEFAULT_CONFIG
-from ..cpu.timing import hash_index_regions
 from ..db.btree import KEY_PAD, BPlusTree
 from ..db.column import Column
 from ..db.hashtable import HashIndex
@@ -272,11 +271,6 @@ def _stride(config: SystemConfig) -> int:
     return config.widx.num_walkers if config.widx.mode == "private" else 1
 
 
-def _regions(*regions) -> List[Tuple[int, int]]:
-    return [(region.base, region.size) for region in regions
-            if region is not None]
-
-
 def _search(index, probe_column: Column, probes: Optional[int],
             config: SystemConfig, label: str, dispatcher_program,
             walker: GeneratedProgram, **fields) -> _Traversal:
@@ -391,7 +385,7 @@ def offload_probe(index: HashIndex, probe_column: Column, *,
         index=index, label="hash probe",
         modes=("shared", "private", "coupled"), reference=reference,
         dispatcher=dispatcher, walker=walker,
-        warm=hash_index_regions(index),
+        warm=index.working_set(),
         tuples=probes, stream=("key_cursor", "key_count"), items=probes,
         item_bytes=layout.key_bytes, base=probe_column.region.base,
         unit_regs={"bucket_base": index.buckets.base,
@@ -455,7 +449,7 @@ def offload_tree_search(tree, probe_column: Column, *,
         raise WidxFault("offload_tree_search expects a BPlusTree")
     spec = _search(tree, probe_column, probes, config, "tree search",
                    tree_dispatcher_program, tree_walker_program(),
-                   warm=[(tree.region.base, tree.footprint_bytes)],
+                   warm=tree.working_set(),
                    unit_regs={"root": tree.root})
     return _offload(spec, config, warm, validate, memory, engine, unit_cls,
                     watchdog)
@@ -478,7 +472,7 @@ def offload_tree_ranges(tree, ranges, *,
         raise WidxFault("offload_tree_ranges expects a BPlusTree")
     spec = _range_scan(tree, ranges, "tree range",
                        range_dispatcher_program(), tree_range_walker_program(),
-                       warm=[(tree.region.base, tree.footprint_bytes)],
+                       warm=tree.working_set(),
                        unit_regs={"root": tree.root})
     return _offload(spec, config, warm, validate, memory, engine, unit_cls,
                     watchdog)
@@ -506,7 +500,7 @@ def offload_trie_search(trie, probe_column: Column, *,
     spec = _search(trie, probe_column, probes, config, "trie search",
                    key_dispatcher_program,
                    trie_walker_program(trie.hash_spec, prefetch=prefetch),
-                   warm=_regions(trie.buckets, trie.overflow),
+                   warm=trie.working_set(),
                    walker_regs={"bucket_base": trie.buckets.base,
                                 "bucket_mask": trie.bucket_mask})
     return _offload(spec, config, warm, validate, memory, engine, unit_cls,
@@ -534,7 +528,7 @@ def offload_trie_ranges(trie, ranges, *,
                        trie_range_dispatcher_program(),
                        trie_range_walker_program(), width=8, limit=None,
                        plan=trie.search_start,
-                       warm=_regions(trie.buckets, trie.overflow))
+                       warm=trie.working_set())
     return _offload(spec, config, warm, validate, memory, engine, unit_cls,
                     watchdog)
 
@@ -560,7 +554,7 @@ def offload_wormhole_search(index, probe_column: Column, *,
     spec = _search(index, probe_column, probes, config, "wormhole search",
                    tree_dispatcher_program,
                    wormhole_walker_program(index.hash_spec),
-                   warm=_regions(index.leaves, index.meta, index.overflow),
+                   warm=index.working_set(),
                    unit_regs={"root": index.first_leaf},
                    walker_regs={"meta_base": index.meta.base,
                                 "meta_mask": index.meta_mask})
@@ -583,7 +577,7 @@ def offload_wormhole_ranges(index, ranges, *,
     spec = _range_scan(index, ranges, "wormhole range",
                        range_dispatcher_program(),
                        wormhole_range_walker_program(index.hash_spec),
-                       warm=_regions(index.leaves, index.meta, index.overflow),
+                       warm=index.working_set(),
                        unit_regs={"root": index.first_leaf},
                        walker_regs={"meta_base": index.meta.base,
                                     "meta_mask": index.meta_mask})
@@ -636,7 +630,7 @@ def offload_batched_tree(tree, probe_column: Column, *,
             batch, stride_batches=config.widx.num_walkers),
         stream=("key_cursor", "batch_count"), items=probes // batch,
         item_bytes=4 * batch, staging=("bkeys", 4, staged), out="bout",
-        warm=[(tree.region.base, tree.footprint_bytes)],
+        warm=tree.working_set(),
         unit_regs={"root": tree.root})
     return _offload(spec, config, warm, validate, memory, engine, unit_cls,
                     watchdog)

@@ -52,8 +52,8 @@ def test_committed_baseline_fingerprints_match(capsys):
 
 def test_committed_serve_resilience_fingerprint_matches(capsys):
     """Same contract for the serving bench: it only reports a ratio
-    after proving the resilient clean path bit-identical to the plain
-    DES, and its sweep, faulted-sweep and live-replay fingerprints must
+    after proving the SLO-armed sweep bit-identical to the one with
+    nothing armed, and its sweep, faulted-sweep and live-replay fingerprints must
     all match the baseline."""
     result = run_benchmarks(repeats=1, only=["serve_resilience"])[0]
     baseline = json.load(open("BENCH_sim.json"))

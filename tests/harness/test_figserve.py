@@ -104,9 +104,10 @@ def test_cli_rejects_bad_serve_policy():
 
 def test_fig_serve_report_matches_pre_resilience_golden():
     """The golden was rendered from the tree before admission control,
-    walker faults, and the controller existed.  The resilient serving
-    path is opt-in; with no SLO, no wrappers, and no fault model, the
-    plain path runs untouched and the report is byte-identical."""
+    walker faults, and the controller existed.  Every level runs on the
+    one serving driver; with no SLO, no wrappers and no fault model
+    armed it keeps that tree's event schedule, and the report is
+    byte-identical."""
     import os
     golden_path = os.path.join(os.path.dirname(__file__), "goldens",
                                "figserve_p400_w100_s42.txt")

@@ -14,6 +14,7 @@ from repro.live.clock import ManualClock
 from repro.live.service import LiveService
 from repro.serve.control import parse_controller
 from repro.serve.core import ResilienceConfig
+from repro.serve.faults import WalkerFaultModel
 from repro.serve.policies import parse_policy
 from repro.serve.service import ServiceModel
 from repro.serve.simulate import build_requests, simulate_service
@@ -111,6 +112,35 @@ class TestBasicServing:
         result = replay(requests, policy="fifo").result()
         assert result.shed == 0
         assert result.completed == 40
+
+
+class TestWalkerFaults:
+    """A live batch is priced once, when it starts; the DES aborts it at
+    a mid-batch walker death.  So the live driver refuses an active fault
+    model instead of serving it with different results."""
+
+    @staticmethod
+    def faulted(rate):
+        return ResilienceConfig(
+            slo=30_000.0, fallback=MODEL.scaled(2.5),
+            faults=WalkerFaultModel(seed=7, rate=rate, walkers_per_core=2))
+
+    def test_active_fault_model_is_refused(self):
+        with pytest.raises(ServeError, match="walker faults"):
+            LiveService(MODEL, policy="shed:32", cores=4,
+                        resilience=self.faulted(40.0), clock=ManualClock())
+
+    def test_inactive_fault_model_serves_like_the_des(self):
+        requests = build_requests(30.0, 80, 8, seed=7)
+        resilience = self.faulted(0.0)
+        des = simulate_service(requests, MODEL, policy=parse_policy("shed:32"),
+                               cores=4, resilience=resilience)
+        live = replay(requests, policy="shed:32", cores=4,
+                      resilience=resilience).result()
+        assert (live.completed, live.shed, live.faults) == \
+            (des.completed, des.shed, 0)
+        assert live.makespan == pytest.approx(des.makespan)
+        assert live.p99 == des.p99
 
 
 class TestAdmissionAndDeadlines:

@@ -6,8 +6,9 @@ stream they must leave byte-identical simulated memory, equal statistics
 and equal probe results — and on bad input raise the same exception
 type, with ``build`` writing nothing at all.  ``build`` is handed the
 stream as a list or as a ``uint64``, ``int32`` or ``int64`` array
-(negative payloads included, as the kernel's ``np.arange`` payloads are
-signed); the insert loop gets the same values as Python ints.
+(negative payloads included for lists and signed arrays, as the kernel's
+``np.arange`` payloads are signed); the insert loop gets the same values
+as Python ints.
 """
 
 import hashlib
@@ -30,7 +31,6 @@ LAYOUTS = [KERNEL_LAYOUT, WIDE_LAYOUT, monetdb_layout(4), monetdb_layout(8)]
 HASHES = [KERNEL_HASH, ROBUST_HASH_32, ROBUST_HASH_64]
 #: How ``build`` receives keys or payloads: a list or a numpy dtype.
 KINDS = ["list", "uint64", "int32", "int64"]
-SIGNED = ("int32", "int64")
 
 
 def _bounds(kind, low, high):
@@ -80,7 +80,7 @@ def workloads(draw):
     Keys come from a small pool so duplicates are common; 1-4 buckets
     make every chain deep.  Indirect layouts store row ids: the stream
     is a permutation of some of the base column's rows.  Values fit the
-    drawn key and payload kinds; signed payloads go negative.
+    drawn key and payload kinds; list and signed payloads go negative.
     """
     layout = draw(st.sampled_from(LAYOUTS))
     hash_spec = draw(st.sampled_from(HASHES))
@@ -97,7 +97,7 @@ def workloads(draw):
         payloads = list(rows)
     else:
         column_keys = None
-        low = -(1 << 63) if kinds[1] in SIGNED else 0
+        low = 0 if kinds[1] == "uint64" else -(1 << 63)
         payloads = draw(st.lists(
             st.integers(*_bounds(kinds[1], low, (1 << 64) - 1)),
             min_size=len(keys), max_size=len(keys)))
@@ -149,18 +149,18 @@ def test_build_raises_what_insert_raises_and_writes_nothing(
     at = poison % len(keys)
     if kind == "sentinel" and not layout.indirect:
         keys[at] = layout.empty_sentinel
-    elif kind == "wide" and layout is KERNEL_LAYOUT:
+    elif kind == "wide" and not layout.indirect:
+        # Past 8 bytes the keys reach build as a list.
         keys[at] = 1 << (8 * layout.key_bytes)
     elif kind == "row" and layout.indirect:
         payloads[at] = len(keys) + at
     elif kind == "wrong-key" and layout.indirect:
         keys[at] = column_keys[payloads[at]] ^ 1
     elif kind == "negative":
-        # Signed arrays only (a list with a negative raises OverflowError
-        # in build).  A negative key or row id fails both ways.
-        if kinds[0] in SIGNED:
-            keys[at] = -1 - poison
-        if layout.indirect and kinds[1] in SIGNED:
+        # A negative key or row id fails both ways (a uint64 kind gets
+        # the values as a list).
+        keys[at] = -1 - poison
+        if layout.indirect:
             payloads[at] = -1 - poison
     reference = _index(layout, hash_spec, num_buckets, capacity,
                        column_keys)

@@ -20,8 +20,8 @@ def run(rate, *, policy=None, cores=2, requests=300, seed=42, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# clean-path parity: the resilient pair is bit-identical when nothing
-# resilient actually fires
+# clean-path parity: an armed feature that never fires leaves the run
+# bit-identical to one with nothing armed
 # ---------------------------------------------------------------------------
 
 def test_slo_only_run_matches_plain_run_bit_identical():

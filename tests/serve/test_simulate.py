@@ -5,10 +5,13 @@ import pytest
 from repro.errors import ServeError
 from repro.obs import StatsRegistry
 from repro.serve.arrivals import Request
-from repro.serve.policies import BatchByDeadline, BatchBySize, FifoPolicy
+from repro.serve.control import parse_controller
+from repro.serve.faults import WalkerFaultModel
+from repro.serve.policies import (BatchByDeadline, BatchBySize, FifoPolicy,
+                                  parse_policy)
 from repro.serve.service import ServiceModel
-from repro.serve.simulate import (build_requests, run_open_loop,
-                                  simulate_service)
+from repro.serve.simulate import (ResilienceConfig, build_requests,
+                                  run_open_loop, simulate_service)
 
 #: A synthetic calibration: 100 cycles for one request, amortizing to
 #: 70/request at batch 4 — shaped like the real Widx measurements.
@@ -167,6 +170,42 @@ def test_deadline_batching_trades_light_load_latency():
     fifo = run(rate, cores=1, policy=FifoPolicy())
     held = run(rate, cores=1, policy=BatchByDeadline(400.0))
     assert held.p50 > fifo.p50
+
+
+# ---------------------------------------------------------------------------
+# which serve counters a run publishes
+# ---------------------------------------------------------------------------
+
+DROP_COUNTERS = ("serve.shed", "serve.expired", "serve.aborts")
+SLO = 5_000.0
+FAULTS = WalkerFaultModel(seed=7, rate=40.0, walkers_per_core=2)
+
+
+@pytest.mark.parametrize("armed,policy,kwargs", [
+    (False, "fifo", {}),
+    (False, "size:4", {"resilience": ResilienceConfig()}),
+    (False, "fifo", {"resilience": ResilienceConfig(
+        faults=WalkerFaultModel(seed=7, rate=0.0, walkers_per_core=2))}),
+    (True, "shed:64", {}),
+    (True, "timeout:50000", {}),
+    (True, "fifo", {"queue_depth": 1000}),
+    (True, "fifo", {"resilience": ResilienceConfig(slo=SLO)}),
+    (True, "fifo", {"resilience": ResilienceConfig(
+        faults=FAULTS, fallback=MODEL.scaled(2.5))}),
+    (True, "fifo", {"resilience": ResilienceConfig(
+        slo=SLO, controller=parse_controller("p99:2000"))}),
+], ids=["plain", "empty-config", "zero-rate-faults", "shed", "timeout",
+        "queue-depth", "slo", "faults", "controller"])
+def test_drop_counters_are_published_only_when_resilience_is_armed(
+        armed, policy, kwargs):
+    result = run(10.0, policy=parse_policy(policy), **kwargs)
+    published = [name for name in DROP_COUNTERS if name in result.stats]
+    assert published == (list(DROP_COUNTERS) if armed else [])
+    resilience = kwargs.get("resilience")
+    has_slo = resilience is not None and resilience.slo is not None
+    assert ("serve.in_slo" in result.stats) == has_slo
+    assert (result.shed, result.expired) == (0, 0)
+    assert result.completed == result.requests
 
 
 # ---------------------------------------------------------------------------
