@@ -1,10 +1,22 @@
 """Tests for the schema-driven Widx program generators."""
 
-from repro.db.hashfn import KERNEL_HASH, ROBUST_HASH_32, ROBUST_HASH_64
-from repro.db.node import KERNEL_LAYOUT, MONETDB_LAYOUT, WIDE_LAYOUT
+import functools
+import zlib
+
+import pytest
+
+from repro.db.hashfn import (KERNEL_HASH, ROBUST_HASH_32, ROBUST_HASH_64,
+                             kernel_hash)
+from repro.db.node import (KERNEL_LAYOUT, MONETDB_LAYOUT, WIDE_LAYOUT,
+                           monetdb_layout)
 from repro.widx.isa import Opcode
-from repro.widx.programs import (coupled_walker_program, dispatcher_program,
-                                 producer_program, walker_program)
+from repro.widx.programs import (
+    batched_tree_walker_program, coupled_walker_program, dispatcher_program,
+    key_dispatcher_program, producer_program, range_dispatcher_program,
+    tree_dispatcher_program, tree_range_walker_program, tree_walker_program,
+    trie_range_dispatcher_program, trie_range_walker_program,
+    trie_walker_program, walker_program, wormhole_range_walker_program,
+    wormhole_walker_program)
 
 
 class TestDispatcherProgram:
@@ -113,3 +125,85 @@ def test_all_generated_programs_fit_register_budget():
             coupled_walker_program(spec, layout)
         walker_program(layout)
     producer_program(8)
+
+
+# ----------------------------------------------------------------------
+# Source pins: every generator's exact text over the argument grid the
+# offload drivers use.  An extra or reordered instruction changes cycle
+# counts, so any drift in a generated program must show up here.
+# ----------------------------------------------------------------------
+
+_LAYOUTS = (KERNEL_LAYOUT, MONETDB_LAYOUT, WIDE_LAYOUT, monetdb_layout(8))
+_HASHES = (KERNEL_HASH, kernel_hash(12), ROBUST_HASH_32, ROBUST_HASH_64)
+#: Walker-resident hashing compiles only shift/fused steps.
+_FUSED_HASHES = (ROBUST_HASH_32, ROBUST_HASH_64)
+_STRIDES = (1, 2, 3, 4)
+_KEY_WIDTHS = (4, 8)
+
+
+def _program_grid():
+    """``{generator: [program, ...]}`` over the pinned argument grid."""
+    return {
+        "dispatcher": [dispatcher_program(spec, layout, stride_keys=stride)
+                       for layout in _LAYOUTS for spec in _HASHES
+                       for stride in _STRIDES],
+        "walker": [walker_program(layout) for layout in _LAYOUTS],
+        "producer": [producer_program()],
+        "coupled_walker": [
+            coupled_walker_program(spec, layout, stride_keys=stride)
+            for layout in _LAYOUTS for spec in _HASHES
+            for stride in _STRIDES],
+        "tree_dispatcher": [tree_dispatcher_program(width, stride_keys=stride)
+                            for width in _KEY_WIDTHS for stride in _STRIDES],
+        "tree_walker": [tree_walker_program()],
+        "range_dispatcher": [range_dispatcher_program()],
+        "tree_range_walker": [tree_range_walker_program()],
+        "key_dispatcher": [key_dispatcher_program(width, stride_keys=stride)
+                           for width in _KEY_WIDTHS for stride in _STRIDES],
+        "trie_walker": [trie_walker_program(spec) for spec in _FUSED_HASHES],
+        "trie_range_dispatcher": [trie_range_dispatcher_program()],
+        "trie_range_walker": [trie_range_walker_program()],
+        "wormhole_walker": [wormhole_walker_program(spec)
+                            for spec in _FUSED_HASHES],
+        "wormhole_range_walker": [wormhole_range_walker_program(spec)
+                                  for spec in _FUSED_HASHES],
+        "batched_tree_walker": [
+            batched_tree_walker_program(batch, stride_batches=stride)
+            for batch in (2, 3, 4) for stride in _STRIDES],
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def family_crcs():
+    """CRC32 of each generator's sources, joined in grid order."""
+    return {family: zlib.crc32("\0".join(
+                generated.source for generated in programs).encode())
+            for family, programs in _program_grid().items()}
+
+
+PINNED_SOURCES = {
+    "dispatcher": 0x9f81b5a2,
+    "walker": 0x29861b04,
+    "producer": 0x59c0b413,
+    "coupled_walker": 0x23714a48,
+    "tree_dispatcher": 0x2279af54,
+    "tree_walker": 0x33e401b5,
+    "range_dispatcher": 0xaa271491,
+    "tree_range_walker": 0xb9370236,
+    "key_dispatcher": 0xc2c4741d,
+    "trie_walker": 0xa193e7e4,
+    "trie_range_dispatcher": 0x3b271ad4,
+    "trie_range_walker": 0x006b4139,
+    "wormhole_walker": 0x7798b7ec,
+    "wormhole_range_walker": 0x5a02274e,
+    "batched_tree_walker": 0x9a4414a1,
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_SOURCES))
+def test_generated_source_pinned(family):
+    assert family_crcs()[family] == PINNED_SOURCES[family]
+
+
+def test_every_generator_pinned():
+    assert set(family_crcs()) == set(PINNED_SOURCES)
