@@ -20,7 +20,7 @@ def build_table1_report() -> Report:
     programs = {
         "H": dispatcher_program(ROBUST_HASH_64, KERNEL_LAYOUT).program,
         "W": walker_program(MONETDB_LAYOUT).program,
-        "P": producer_program(8).program,
+        "P": producer_program().program,
     }
     for opcode in Opcode:
         if opcode in (Opcode.EMIT, Opcode.HALT):

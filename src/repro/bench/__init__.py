@@ -31,8 +31,9 @@ Three benchmarks cover the three overhauled layers:
     The same offloaded bulk probe on the bank-side walker backend
     (:mod:`repro.pim`), timed on the optimized stack versus the full
     naive PIM stack (reference engine + reference bank-buffer array +
-    reference interpreter via :func:`~repro.pim.use_reference_pim_memory`
-    and :class:`~repro.pim.ReferencePimUnit`).
+    reference interpreter via
+    :func:`~repro.mem.reference.use_reference_arrays` and
+    :class:`~repro.pim.ReferencePimUnit`).
 
 Two cover the ordered-index zoo's offloads, each against the full naive
 stack (reference engine + reference cache levels + reference
@@ -98,8 +99,7 @@ from ..mem.hierarchy import MemoryHierarchy
 from ..mem.layout import AddressSpace
 from ..mem.pimside import PimBankMemory
 from ..mem.reference import ReferenceCacheArray, use_reference_arrays
-from ..pim import (ReferencePimUnit, pim_config,
-                   use_reference_pim_memory)
+from ..pim import ReferencePimUnit, pim_config
 from ..serve.faults import WalkerFaultModel
 from ..serve.policies import FifoPolicy, parse_policy
 from ..serve.service import ServiceModel, measure_service
@@ -458,7 +458,7 @@ def bench_pim_fig8_point(repeats: int) -> BenchResult:
         index, column = state
         outcome = offload_probe(
             index, column, config=config, probes=_FIG8_PROBES,
-            memory=use_reference_pim_memory(PimBankMemory(config)),
+            memory=use_reference_arrays(PimBankMemory(config)),
             engine=ReferenceEngine(),
             unit_cls=ReferencePimUnit)
         return _fig8_outcome_key(outcome)

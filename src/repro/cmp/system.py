@@ -147,7 +147,7 @@ def run_multicore_offload(index: HashIndex, probe_column: Column, *,
 
     dispatcher = dispatcher_program(index.hash_spec, layout)
     walker = walker_program(layout)
-    producer = producer_program(8)
+    producer = producer_program()
     mask = index.num_buckets - 1
     base = probe_column.region.base
 

@@ -20,7 +20,7 @@ from .inorder import InOrderCore
 from .timing import CoreTimingResult, measure_indexing
 from .ordered import (BatchedTreeTraceGenerator, TreeTraceGenerator,
                       TrieTraceGenerator, WormholeTraceGenerator,
-                      measure_ordered_indexing, warm_ordered_index)
+                      measure_ordered_indexing)
 
 __all__ = [
     "Uop",
@@ -35,5 +35,4 @@ __all__ = [
     "WormholeTraceGenerator",
     "BatchedTreeTraceGenerator",
     "measure_ordered_indexing",
-    "warm_ordered_index",
 ]

@@ -40,16 +40,10 @@ from ..db.trie import MlpTrie, probe_value, tag_value
 from ..db.wormhole import WormholeIndex
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.physmem import NULL_PTR
-from .timing import CoreTimingResult, _time_traces
+from .timing import CoreTimingResult, _time_traces, warm_hash_index
 from .trace import TraceGenerator, address_chain
 from .uops import (BRANCH_PREV, LOOP_TAIL, LOOP_TAIL_MISPREDICTED, TEST_PREV,
                    TraceBuilder, Uop)
-
-
-def warm_ordered_index(memory: MemoryHierarchy, index) -> None:
-    """Functionally install an ordered structure's working set in the LLC."""
-    for base, size in index.working_set():
-        memory.warm_range(base, size)
 
 
 class TreeTraceGenerator(TraceGenerator):
@@ -366,7 +360,7 @@ def measure_ordered_indexing(index, probe_keys: Column, *,
     """
     memory = MemoryHierarchy(config)
     if warm_index:
-        warm_ordered_index(memory, index)
+        warm_hash_index(memory, index)
     generator = make_ordered_generator(index_class, index, probe_keys,
                                        batch=batch)
     per_trace = generator.tuples_per_trace

@@ -22,8 +22,10 @@ from .trace import ProbeTraceGenerator
 from .uops import Uop
 
 
-def warm_hash_index(memory: MemoryHierarchy, index: HashIndex) -> None:
-    """Functionally install an index's working set in the LLC (and TLB)."""
+def warm_hash_index(memory: MemoryHierarchy, index) -> None:
+    """Functionally install any index's working set in the LLC (and TLB):
+    the ``working_set()`` regions of a hash index, B+-tree, trie or
+    wormhole index, in their listed order."""
     for base, size in index.working_set():
         memory.warm_range(base, size)
 

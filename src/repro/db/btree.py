@@ -38,10 +38,13 @@ FANOUT = 4                      # keys per node; FANOUT+1 children
 KEY_PAD = (1 << 32) - 1         # pads unused key slots; sorts after all keys
 META_LEAF = 1
 
+_META_OFFSET = 0
 _KEYS_OFFSET = 8
 _CHILDREN_OFFSET = 24
 _PAYLOADS_OFFSET = 24
 _NEXT_LEAF_OFFSET = 40
+_KEY_BYTES = 4                  # key and payload slot stride
+_CHILD_BYTES = 8                # child pointer slot stride
 
 
 @dataclass
@@ -111,7 +114,8 @@ class BPlusTree:
     def _write_keys(self, node: int, keys: List[int]) -> None:
         for slot in range(FANOUT):
             value = keys[slot] if slot < len(keys) else KEY_PAD
-            self.memory.write_u32(node + _KEYS_OFFSET + 4 * slot, value)
+            self.memory.write_u32(node + _KEYS_OFFSET + _KEY_BYTES * slot,
+                                  value)
 
     def _bulk_load(self, pairs: List[Tuple[int, int]]) -> int:
         # Leaf level.
@@ -120,11 +124,11 @@ class BPlusTree:
         for start in range(0, len(pairs), FANOUT):
             chunk = pairs[start:start + FANOUT]
             node = self._alloc()
-            self.memory.write_u64(node, META_LEAF)
+            self.memory.write_u64(node + _META_OFFSET, META_LEAF)
             self._write_keys(node, [k for k, _ in chunk])
             for slot, (_key, payload) in enumerate(chunk):
-                self.memory.write_u32(node + _PAYLOADS_OFFSET + 4 * slot,
-                                      payload)
+                self.memory.write_u32(
+                    node + _PAYLOADS_OFFSET + _KEY_BYTES * slot, payload)
             self.memory.write_u64(node + _NEXT_LEAF_OFFSET, NULL_PTR)
             if previous_leaf is not None:
                 self.memory.write_u64(previous_leaf + _NEXT_LEAF_OFFSET, node)
@@ -141,15 +145,16 @@ class BPlusTree:
             for start in range(0, len(level), FANOUT + 1):
                 group = level[start:start + FANOUT + 1]
                 node = self._alloc()
-                self.memory.write_u64(node, 0)
+                self.memory.write_u64(node + _META_OFFSET, 0)
                 separators = [max_key for max_key, _ in group[:-1]]
                 self._write_keys(node, separators)
                 for slot, (_max_key, child) in enumerate(group):
                     self.memory.write_u64(
-                        node + _CHILDREN_OFFSET + 8 * slot, child)
+                        node + _CHILDREN_OFFSET + _CHILD_BYTES * slot, child)
                 for slot in range(len(group), FANOUT + 1):
                     self.memory.write_u64(
-                        node + _CHILDREN_OFFSET + 8 * slot, NULL_PTR)
+                        node + _CHILDREN_OFFSET + _CHILD_BYTES * slot,
+                        NULL_PTR)
                 next_level.append((group[-1][0], node))
                 self.internal_count += 1
             level = next_level
@@ -162,19 +167,21 @@ class BPlusTree:
 
     def node_is_leaf(self, node: int) -> bool:
         """True if the node's meta word has the leaf bit set."""
-        return bool(self.memory.read_u64(node) & META_LEAF)
+        return bool(self.memory.read_u64(node + _META_OFFSET) & META_LEAF)
 
     def node_key(self, node: int, slot: int) -> int:
         """The key stored in the given slot of a node."""
-        return self.memory.read_u32(node + _KEYS_OFFSET + 4 * slot)
+        return self.memory.read_u32(node + _KEYS_OFFSET + _KEY_BYTES * slot)
 
     def node_child(self, node: int, slot: int) -> int:
         """The child pointer in the given slot of an internal node."""
-        return self.memory.read_u64(node + _CHILDREN_OFFSET + 8 * slot)
+        return self.memory.read_u64(
+            node + _CHILDREN_OFFSET + _CHILD_BYTES * slot)
 
     def node_payload(self, node: int, slot: int) -> int:
         """The payload stored in the given slot of a leaf."""
-        return self.memory.read_u32(node + _PAYLOADS_OFFSET + 4 * slot)
+        return self.memory.read_u32(
+            node + _PAYLOADS_OFFSET + _KEY_BYTES * slot)
 
     def next_leaf(self, node: int) -> int:
         """The leaf-chain successor pointer (NULL at the end)."""

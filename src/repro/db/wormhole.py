@@ -49,8 +49,9 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from ..errors import PlanError
 from ..mem.layout import AddressSpace, Region
 from ..mem.physmem import NULL_PTR
-from .btree import (FANOUT, KEY_PAD, META_LEAF, NODE_BYTES, _KEYS_OFFSET,
-                    _NEXT_LEAF_OFFSET, _PAYLOADS_OFFSET)
+from .btree import (FANOUT, KEY_PAD, META_LEAF, NODE_BYTES, _KEY_BYTES,
+                    _KEYS_OFFSET, _META_OFFSET, _NEXT_LEAF_OFFSET,
+                    _PAYLOADS_OFFSET)
 from .hashfn import ROBUST_HASH_32, HashSpec
 from .trie import MAX_DEPTH, _next_pow2, probe_value
 
@@ -109,13 +110,14 @@ class WormholeIndex:
         for index in range(self.leaf_count):
             chunk = pairs[index * FANOUT:(index + 1) * FANOUT]
             node = self.leaves.base + index * NODE_BYTES
-            self.memory.write_u64(node, META_LEAF)
+            self.memory.write_u64(node + _META_OFFSET, META_LEAF)
             for slot in range(FANOUT):
                 key = chunk[slot][0] if slot < len(chunk) else KEY_PAD
-                self.memory.write_u32(node + _KEYS_OFFSET + 4 * slot, key)
+                self.memory.write_u32(
+                    node + _KEYS_OFFSET + _KEY_BYTES * slot, key)
             for slot, (_key, payload) in enumerate(chunk):
-                self.memory.write_u32(node + _PAYLOADS_OFFSET + 4 * slot,
-                                      payload)
+                self.memory.write_u32(
+                    node + _PAYLOADS_OFFSET + _KEY_BYTES * slot, payload)
             self.memory.write_u64(node + _NEXT_LEAF_OFFSET, NULL_PTR)
             if previous is not None:
                 self.memory.write_u64(previous + _NEXT_LEAF_OFFSET, node)
@@ -197,11 +199,12 @@ class WormholeIndex:
 
     def leaf_key(self, node: int, slot: int) -> int:
         """The key stored in a leaf slot (``KEY_PAD`` when unused)."""
-        return self.memory.read_u32(node + _KEYS_OFFSET + 4 * slot)
+        return self.memory.read_u32(node + _KEYS_OFFSET + _KEY_BYTES * slot)
 
     def leaf_payload(self, node: int, slot: int) -> int:
         """The payload stored beside a leaf slot's key."""
-        return self.memory.read_u32(node + _PAYLOADS_OFFSET + 4 * slot)
+        return self.memory.read_u32(
+            node + _PAYLOADS_OFFSET + _KEY_BYTES * slot)
 
     def next_leaf(self, node: int) -> int:
         """The sorted-order pointer to the following leaf node."""

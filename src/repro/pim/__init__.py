@@ -26,12 +26,11 @@ from __future__ import annotations
 from typing import Optional
 
 from ..config import DEFAULT_CONFIG, SystemConfig
-from .reference import ReferencePimUnit, use_reference_pim_memory
+from .reference import ReferencePimUnit
 
 __all__ = [
     "ReferencePimUnit",
     "pim_config",
-    "use_reference_pim_memory",
 ]
 
 

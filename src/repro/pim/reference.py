@@ -12,20 +12,17 @@ The subclass exists so the PIM differential suites and the
 future PIM-specific unit change *must* come with its own naive twin
 here or the differential wall fails.
 
-:func:`use_reference_pim_memory` is
-:func:`~repro.mem.reference.use_reference_arrays` on the bank side: it
-swaps the PIM scratch buffer for the recency-list
-:class:`~repro.mem.reference.ReferenceCacheLevel` (a
-:class:`~repro.mem.pimside.PimBankMemory` has no LLC to swap) and runs
-the composed front half.
+The memory twin needs nothing PIM-specific:
+:func:`~repro.mem.reference.use_reference_arrays` on a
+:class:`~repro.mem.pimside.PimBankMemory` swaps its scratch buffer for
+the recency-list :class:`~repro.mem.reference.ReferenceCacheLevel` (the
+bank side has no LLC to swap) and runs the composed front half.
 
 Do not "improve" these: their value is being obviously correct, not fast.
 """
 
 from __future__ import annotations
 
-from ..mem.pimside import PimBankMemory
-from ..mem.reference import use_reference_arrays
 from ..widx.reference import ReferenceWidxUnit
 
 
@@ -33,13 +30,3 @@ class ReferencePimUnit(ReferenceWidxUnit):
     """Bank-side walker with the naive instruction-by-instruction
     interpreter — the oracle the optimized PIM offloads must match
     bit for bit."""
-
-
-def use_reference_pim_memory(memory: PimBankMemory) -> PimBankMemory:
-    """Swap the PIM scratch buffer for the naive reference implementation
-    and run the composed front half.
-
-    Must run before any accesses or warm-up touch the memory (the arrays
-    start empty).  Returns the memory for chaining.
-    """
-    return use_reference_arrays(memory)

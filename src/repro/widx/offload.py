@@ -11,10 +11,10 @@ Every index structure runs on the same machine; only the programs loaded
 into its units and the values in their configuration registers differ.
 So each public ``offload_*`` entry point just describes its traversal in
 a :class:`_Traversal` (legal organizations, functional reference, staged
-input, programs, configuration registers, warm regions) and hands it to
-one private pipeline, :func:`_offload`: stage input → out region →
-warm → build → configure → run → read payloads → validate → stats
-snapshot → release.
+input, programs, configuration registers) and hands it to one private
+pipeline, :func:`_offload`: stage input → out region → warm the index's
+``working_set()`` → build → configure → run → read payloads → validate
+→ stats snapshot → release.
 
 Widx offloads run on the discrete-event engine: the walkers *share* the
 MSHRs, cache ports and (in shared mode) the dispatcher queue, so every
@@ -101,7 +101,8 @@ class _Traversal:
     no dispatcher — walks ``items`` records of ``item_bytes`` from
     ``base`` (or from the staged input, when ``staging`` is set) through
     its ``stream`` (cursor, count) registers; ``unit_regs`` and
-    ``walker_regs`` name further registers by their program's map.
+    ``walker_regs`` name further registers by their program's map.  The
+    pipeline warms the structure's own ``index.working_set()``.
     """
 
     index: Any                          # the structure: ``space``, ``name``
@@ -114,7 +115,6 @@ class _Traversal:
     stream: Tuple[str, str]             # (cursor, count) register names
     items: int
     item_bytes: int
-    warm: Sequence[Tuple[int, int]]     # (base, bytes) to pre-install
     base: int = 0
     staging: Optional[Tuple[str, int, List[int]]] = None  # stem, width, words
     unit_regs: Dict[str, int] = field(default_factory=dict)
@@ -161,13 +161,13 @@ def _offload(spec: _Traversal, config: SystemConfig, warm: bool,
             max(64, 8 * (len(spec.reference) + 1)), align=64)
         regions.append(out_region)
 
-        producer = producer_program(8)
+        producer = producer_program()
         programs = ({} if spec.dispatcher is None
                     else {"dispatcher": spec.dispatcher})
         programs.update(walker=spec.walker, producer=producer)
         hierarchy = memory if memory is not None else _hierarchy_for(config)
         if warm:
-            for start, size in spec.warm:
+            for start, size in spec.index.working_set():
                 hierarchy.warm_range(start, size)
         machine = WidxMachine(config, hierarchy, space.memory, engine=engine,
                               tracer=tracer, unit_cls=unit_cls or WidxUnit)
@@ -272,11 +272,12 @@ def _stride(config: SystemConfig) -> int:
 
 
 def _search(index, probe_column: Column, probes: Optional[int],
-            config: SystemConfig, label: str, dispatcher_program,
+            config: SystemConfig, label: str, make_dispatcher,
             walker: GeneratedProgram, **fields) -> _Traversal:
-    """A point-lookup traversal: the dispatcher streams the column's
-    leading ``probes`` keys; the reference is what ``index.search``
-    finds for them."""
+    """A point-lookup traversal: the dispatcher that
+    ``make_dispatcher(key_bytes, stride_keys=...)`` generates streams the
+    column's leading ``probes`` keys; the reference is what
+    ``index.search`` finds for them."""
     probes = _probe_count(probe_column, probes)
     key_bytes = probe_column.dtype.nbytes
     return _Traversal(
@@ -284,7 +285,7 @@ def _search(index, probe_column: Column, probes: Optional[int],
         reference=[payload for payload in map(
             index.search, _keys(probe_column, probes)) if payload is not None],
         tuples=probes,
-        dispatcher=dispatcher_program(key_bytes, stride_keys=_stride(config)),
+        dispatcher=make_dispatcher(key_bytes, stride_keys=_stride(config)),
         walker=walker, stream=("key_cursor", "key_count"), items=probes,
         item_bytes=key_bytes, base=probe_column.region.base, **fields)
 
@@ -384,9 +385,8 @@ def offload_probe(index: HashIndex, probe_column: Column, *,
     spec = _Traversal(
         index=index, label="hash probe",
         modes=("shared", "private", "coupled"), reference=reference,
-        dispatcher=dispatcher, walker=walker,
-        warm=index.working_set(),
-        tuples=probes, stream=("key_cursor", "key_count"), items=probes,
+        dispatcher=dispatcher, walker=walker, tuples=probes,
+        stream=("key_cursor", "key_count"), items=probes,
         item_bytes=layout.key_bytes, base=probe_column.region.base,
         unit_regs={"bucket_base": index.buckets.base,
                    "bucket_mask": index.num_buckets - 1},
@@ -449,7 +449,6 @@ def offload_tree_search(tree, probe_column: Column, *,
         raise WidxFault("offload_tree_search expects a BPlusTree")
     spec = _search(tree, probe_column, probes, config, "tree search",
                    tree_dispatcher_program, tree_walker_program(),
-                   warm=tree.working_set(),
                    unit_regs={"root": tree.root})
     return _offload(spec, config, warm, validate, memory, engine, unit_cls,
                     watchdog)
@@ -472,7 +471,6 @@ def offload_tree_ranges(tree, ranges, *,
         raise WidxFault("offload_tree_ranges expects a BPlusTree")
     spec = _range_scan(tree, ranges, "tree range",
                        range_dispatcher_program(), tree_range_walker_program(),
-                       warm=tree.working_set(),
                        unit_regs={"root": tree.root})
     return _offload(spec, config, warm, validate, memory, engine, unit_cls,
                     watchdog)
@@ -483,7 +481,6 @@ def offload_trie_search(trie, probe_column: Column, *,
                         probes: Optional[int] = None,
                         warm: bool = True,
                         validate: bool = True,
-                        prefetch: bool = True,
                         memory: Optional[MemoryHierarchy] = None,
                         engine=None, unit_cls=None,
                         watchdog: Optional[Watchdog] = None
@@ -491,16 +488,15 @@ def offload_trie_search(trie, probe_column: Column, *,
     """Accelerate MLP-trie point lookups.
 
     The dispatcher streams bare keys; each walker computes all eight
-    candidate bucket addresses from the key, TOUCHes them up front
-    (``prefetch``), then probes depth by depth until a tag matches — the
-    Cuckoo-Trie fetch pattern run on a Widx unit.
+    candidate bucket addresses from the key, TOUCHes them up front, then
+    probes depth by depth until a tag matches — the Cuckoo-Trie fetch
+    pattern run on a Widx unit.
     """
     if not isinstance(trie, MlpTrie):
         raise WidxFault("offload_trie_search expects an MlpTrie")
     spec = _search(trie, probe_column, probes, config, "trie search",
                    key_dispatcher_program,
-                   trie_walker_program(trie.hash_spec, prefetch=prefetch),
-                   warm=trie.working_set(),
+                   trie_walker_program(trie.hash_spec),
                    walker_regs={"bucket_base": trie.buckets.base,
                                 "bucket_mask": trie.bucket_mask})
     return _offload(spec, config, warm, validate, memory, engine, unit_cls,
@@ -527,8 +523,7 @@ def offload_trie_ranges(trie, ranges, *,
     spec = _range_scan(trie, ranges, "trie range",
                        trie_range_dispatcher_program(),
                        trie_range_walker_program(), width=8, limit=None,
-                       plan=trie.search_start,
-                       warm=trie.working_set())
+                       plan=trie.search_start)
     return _offload(spec, config, warm, validate, memory, engine, unit_cls,
                     watchdog)
 
@@ -554,7 +549,6 @@ def offload_wormhole_search(index, probe_column: Column, *,
     spec = _search(index, probe_column, probes, config, "wormhole search",
                    tree_dispatcher_program,
                    wormhole_walker_program(index.hash_spec),
-                   warm=index.working_set(),
                    unit_regs={"root": index.first_leaf},
                    walker_regs={"meta_base": index.meta.base,
                                 "meta_mask": index.meta_mask})
@@ -577,7 +571,6 @@ def offload_wormhole_ranges(index, ranges, *,
     spec = _range_scan(index, ranges, "wormhole range",
                        range_dispatcher_program(),
                        wormhole_range_walker_program(index.hash_spec),
-                       warm=index.working_set(),
                        unit_regs={"root": index.first_leaf},
                        walker_regs={"meta_base": index.meta.base,
                                     "meta_mask": index.meta_mask})
@@ -630,7 +623,6 @@ def offload_batched_tree(tree, probe_column: Column, *,
             batch, stride_batches=config.widx.num_walkers),
         stream=("key_cursor", "batch_count"), items=probes // batch,
         item_bytes=4 * batch, staging=("bkeys", 4, staged), out="bout",
-        warm=tree.working_set(),
         unit_regs={"root": tree.root})
     return _offload(spec, config, warm, validate, memory, engine, unit_cls,
                     watchdog)

@@ -3,7 +3,8 @@
 The bank-side backend gets the same wall the Widx overhaul got: complete
 bulk probes run twice — once on the optimized stack and once with every
 layer swapped for its deliberately naive twin (reference engine,
-reference bank-buffer array via :func:`~repro.pim.use_reference_pim_memory`,
+reference bank-buffer array via
+:func:`~repro.mem.reference.use_reference_arrays`,
 :class:`~repro.pim.ReferencePimUnit` interpreter) — and the *entire*
 simulated outcome must be bit-identical: total cycles, payloads,
 per-unit accounting, buffer/TLB counters and per-bank port traffic.
@@ -17,7 +18,8 @@ from __future__ import annotations
 import pytest
 
 from repro.mem.pimside import PimBankMemory
-from repro.pim import ReferencePimUnit, pim_config, use_reference_pim_memory
+from repro.mem.reference import use_reference_arrays
+from repro.pim import ReferencePimUnit, pim_config
 from repro.serve.faults import WalkerFaultModel
 from repro.serve.policies import parse_policy
 from repro.serve.service import ServiceModel, measure_service
@@ -59,7 +61,7 @@ def run_pair(space, *, walkers=2, mode="shared", banks=8,
     reference = offload_probe(
         index, column, config=config, probes=probes, warm=warm,
         faults=faults,
-        memory=use_reference_pim_memory(PimBankMemory(config)),
+        memory=use_reference_arrays(PimBankMemory(config)),
         engine=ReferenceEngine(),
         unit_cls=ReferencePimUnit)
     return outcome_key(optimized), outcome_key(reference)
@@ -130,7 +132,7 @@ def test_pim_fallback_to_host_matches_reference_results(space):
     reference = offload_probe(
         index, column, config=config, probes=PROBES, faults=kill,
         fallback_to_host=True,
-        memory=use_reference_pim_memory(PimBankMemory(config)),
+        memory=use_reference_arrays(PimBankMemory(config)),
         engine=ReferenceEngine(),
         unit_cls=ReferencePimUnit)
     assert optimized.fell_back and reference.fell_back

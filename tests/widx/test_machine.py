@@ -23,7 +23,7 @@ def make_machine(mode="shared", walkers=2):
 def standard_programs():
     return (dispatcher_program(ROBUST_HASH_32, KERNEL_LAYOUT),
             walker_program(KERNEL_LAYOUT),
-            producer_program(8))
+            producer_program())
 
 
 def test_shared_mode_unit_inventory():
@@ -47,7 +47,7 @@ def test_coupled_mode_has_no_dispatchers():
     machine, _ = make_machine("coupled", walkers=3)
     coupled = coupled_walker_program(ROBUST_HASH_32, KERNEL_LAYOUT,
                                      stride_keys=3)
-    machine.build(None, coupled, producer_program(8))
+    machine.build(None, coupled, producer_program())
     assert not any(name.startswith("dispatcher") for name in machine.units)
     assert sum(1 for n in machine.units if n.startswith("walker")) == 3
 

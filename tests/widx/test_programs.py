@@ -30,13 +30,6 @@ class TestDispatcherProgram:
         histogram = generated.program.opcode_histogram()
         assert histogram.get("add-shf", 0) + histogram.get("xor-shf", 0) >= 6
 
-    def test_touch_prefetch_optional(self):
-        with_touch = dispatcher_program(KERNEL_HASH, KERNEL_LAYOUT)
-        without = dispatcher_program(KERNEL_HASH, KERNEL_LAYOUT,
-                                     touch_ahead=False)
-        assert with_touch.program.uses_opcode(Opcode.TOUCH)
-        assert not without.program.uses_opcode(Opcode.TOUCH)
-
     def test_stride_scales_cursor_step(self):
         single = dispatcher_program(KERNEL_HASH, KERNEL_LAYOUT, stride_keys=1)
         strided = dispatcher_program(KERNEL_HASH, KERNEL_LAYOUT, stride_keys=4)
@@ -88,13 +81,13 @@ class TestWalkerProgram:
 
 class TestProducerProgram:
     def test_producer_stores_and_bumps_cursor(self):
-        generated = producer_program(8)
+        generated = producer_program()
         assert generated.program.uses_opcode(Opcode.ST)
         assert generated.config_registers == {"out_cursor": 9}
 
     def test_producer_is_tiny(self):
         # The output function is trivially small (Section 4.2).
-        assert len(producer_program(8).program) <= 4
+        assert len(producer_program().program) <= 4
 
 
 class TestCoupledWalkerProgram:
@@ -124,7 +117,7 @@ def test_all_generated_programs_fit_register_budget():
             dispatcher_program(spec, layout)
             coupled_walker_program(spec, layout)
         walker_program(layout)
-    producer_program(8)
+    producer_program()
 
 
 # ----------------------------------------------------------------------
