@@ -11,6 +11,11 @@ rounded figures do not move:
   fig-resilience's faulted sweep) at :data:`figserve.SWEEP_REQUESTS`
   requests per level: one :class:`ServeResult` each, whose snapshot
   carries ``serve.engine.dispatched``;
+* four schedules the sweep does not reach, at the same request count
+  on ``widx-2``: a three-client merged stream (the multi-stream
+  arrival merge), a ``size:4`` level, a ``deadline:`` level and a
+  ``timeout:`` level (whose deadline drops read each request's
+  arrival time), each pinned with its ``serve.engine.dispatched``;
 * every fig-indexes Widx offload at probes=400, warmup=100, seed 42: one
   :class:`OffloadOutcome` each (``memory`` is a live object and is left
   out; its counters are in the snapshot, as is ``sim.engine.dispatched``,
@@ -75,6 +80,16 @@ PINNED_SERVE = {
     ("widx-4", "shed:32", 0.8, 4.0): 0xc7d96957,
     ("widx-4", "shed:32", 0.5, 16.0): 0x6f02e3c0,
     ("widx-4", "shed:32", 0.8, 16.0): 0x1d72f3d7,
+}
+
+#: (CRC-32 of :func:`result_text`, ``serve.engine.dispatched``) per
+#: schedule, keyed by (policy, load fraction, clients); every run is on
+#: the widx-2 model at :data:`figserve.SWEEP_REQUESTS` requests.
+PINNED_SCHEDULES = {
+    ("fifo", 0.9, 3): (0xb9c79fff, 2057),
+    ("size:4", 0.9, 1): (0xadb54144, 2008),
+    ("deadline:450:8", 0.7, 1): (0xb36e1598, 2129),
+    ("timeout:1800", 0.95, 1): (0xc02245fe, 2049),
 }
 
 #: CRC-32 of :func:`result_text` per fig-indexes Widx offload (the hash
@@ -142,6 +157,18 @@ def serve_levels(cache):
                     resilience=resilience)
 
 
+def schedule_level(cache, policy: str, fraction: float, clients: int):
+    """One widx-2 level off the sweep's policy and single-client stream."""
+    label, backend, walkers, mode = next(
+        entry for entry in figserve.BACKENDS if entry[0] == "widx-2")
+    model = figserve.service_model(cache, label, backend, walkers, mode)
+    saturation = cache.config.num_cores * model.saturation_rate()
+    return run_open_loop(
+        model, rate=fraction * saturation,
+        num_requests=figserve.SWEEP_REQUESTS, policy=parse_policy(policy),
+        cores=cache.config.num_cores, clients=clients, seed=cache.runs.seed)
+
+
 def widx_outcome(cache, row: str):
     walkers = figindexes.INDEX_WALKERS
     if row == "hash":
@@ -158,6 +185,15 @@ def test_every_serve_sweep_level_is_bit_identical(cache):
     moved = {key: f"{value:#010x}" for key, value in actual.items()
              if value != PINNED_SERVE[key]}
     assert not moved, f"serve-sweep levels moved: {moved}"
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_SCHEDULES))
+def test_schedule_is_bit_identical(cache, key):
+    result = schedule_level(cache, *key)
+    dispatched = result.stats["serve.engine.dispatched"]["value"]
+    actual = (crc(result), dispatched)
+    assert actual == PINNED_SCHEDULES[key], (
+        f"{key}: crc {actual[0]:#010x}, dispatched {dispatched}")
 
 
 def test_every_fig_indexes_widx_point_is_pinned():
