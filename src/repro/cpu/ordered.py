@@ -72,15 +72,17 @@ class TreeTraceGenerator(TraceGenerator):
         node_dep = key_ready
         while True:
             # Meta word: leaf test.  The node address came from the parent.
-            meta_ready = load(node, node_dep)
+            meta = node + _btree._META_OFFSET
+            meta_ready = load(meta, node_dep)
             run(TEST_PREV)
             keys = node + _btree._KEYS_OFFSET
-            if read(node, 8) & _btree.META_LEAF:
+            if read(meta, 8) & _btree.META_LEAF:
                 for slot in range(_btree.FANOUT):
-                    compare(keys + 4 * slot, meta_ready, key_ready)
-                    if read(keys + 4 * slot, 4) == key:
-                        load(node + _btree._PAYLOADS_OFFSET + 4 * slot,
-                             meta_ready)
+                    compare(keys + _btree._KEY_BYTES * slot, meta_ready,
+                            key_ready)
+                    if read(keys + _btree._KEY_BYTES * slot, 4) == key:
+                        load(node + _btree._PAYLOADS_OFFSET
+                             + _btree._KEY_BYTES * slot, meta_ready)
                         break
                 else:
                     if self.model_mispredicts:
@@ -89,12 +91,14 @@ class TreeTraceGenerator(TraceGenerator):
                 break
             slot = 0
             while slot < _btree.FANOUT:
-                compare(keys + 4 * slot, meta_ready, key_ready)
-                if key <= read(keys + 4 * slot, 4):
+                compare(keys + _btree._KEY_BYTES * slot, meta_ready,
+                        key_ready)
+                if key <= read(keys + _btree._KEY_BYTES * slot, 4):
                     break
                 slot += 1
             # Child pointer: the dependency that serializes the descent.
-            pointer = node + _btree._CHILDREN_OFFSET + 8 * slot
+            pointer = (node + _btree._CHILDREN_OFFSET
+                       + _btree._CHILD_BYTES * slot)
             node_dep = load(pointer, meta_ready)
             child = read(pointer, 8)
             # A key above everything under the last real child follows it.
@@ -238,10 +242,11 @@ class WormholeTraceGenerator(TraceGenerator):
 
         # Final leaf: scan slots for the key.
         for slot in range(_wormhole.FANOUT):
-            compare(leaf + _wormhole._KEYS_OFFSET + 4 * slot, leaf_dep,
+            offset = _btree._KEY_BYTES * slot
+            compare(leaf + _wormhole._KEYS_OFFSET + offset, leaf_dep,
                     key_ready)
-            if read(leaf + _wormhole._KEYS_OFFSET + 4 * slot, 4) == key:
-                load(leaf + _wormhole._PAYLOADS_OFFSET + 4 * slot, leaf_dep)
+            if read(leaf + _wormhole._KEYS_OFFSET + offset, 4) == key:
+                load(leaf + _wormhole._PAYLOADS_OFFSET + offset, leaf_dep)
                 break
         else:
             if self.model_mispredicts:
@@ -297,11 +302,13 @@ class BatchedTreeTraceGenerator(TraceGenerator):
             for node, members in groups.items():
                 # One fetch per distinct node per level — the batched
                 # amortization.  Later members reuse the loaded block.
-                node_ready = load(node, members[0][1])
+                meta = node + _btree._META_OFFSET
+                node_ready = load(meta, members[0][1])
                 trace.run(TEST_PREV)
-                node_keys = [read(node + _btree._KEYS_OFFSET + 4 * slot, 4)
+                node_keys = [read(node + _btree._KEYS_OFFSET
+                                  + _btree._KEY_BYTES * slot, 4)
                              for slot in range(_btree.FANOUT)]
-                leaf = read(node, 8) & _btree.META_LEAF
+                leaf = read(meta, 8) & _btree.META_LEAF
                 for i, _dep in members:
                     key = keys[i]
                     slot = 0
@@ -312,14 +319,15 @@ class BatchedTreeTraceGenerator(TraceGenerator):
                             slot += 1
                         compare_loaded(node_ready, key_ready[i], slot + 1)
                         if node_keys[slot] == key:
-                            load(node + _btree._PAYLOADS_OFFSET + 4 * slot,
-                                 node_ready)
+                            load(node + _btree._PAYLOADS_OFFSET
+                                 + _btree._KEY_BYTES * slot, node_ready)
                         continue
                     while slot < _btree.FANOUT and key > node_keys[slot]:
                         slot += 1
                     compare_loaded(node_ready, key_ready[i],
                                    min(slot + 1, _btree.FANOUT))
-                    child = read(node + _btree._CHILDREN_OFFSET + 8 * slot, 8)
+                    child = read(node + _btree._CHILDREN_OFFSET
+                                 + _btree._CHILD_BYTES * slot, 8)
                     if child == NULL_PTR:
                         child = tree._last_real_child(node)
                     next_frontier.append((i, child, node_ready))

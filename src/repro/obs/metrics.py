@@ -302,14 +302,29 @@ class Distribution:
         return (low + high - 1) / 2.0 / cls._FP_SCALE
 
     def record(self, value: Number) -> None:
-        """Add one observation to its bucket and the running moments."""
-        bucket = self.bucket_of(value)
-        self.counts[bucket] = self.counts.get(bucket, 0) + 1
+        """Add one observation to its bucket and the running moments.
+
+        The bucket is :meth:`bucket_of`'s arithmetic written inline (one
+        call per served request); ``scaled < 2**(SUB_BITS + 1)`` is its
+        ``bit_length() <= SUB_BITS + 1`` test.
+        """
+        scaled = int(value * _DIST_FP_SCALE)
+        if scaled <= 0:
+            bucket = 0
+        elif scaled < _DIST_EXACT_LIMIT:
+            bucket = scaled
+        else:
+            shift = scaled.bit_length() - 1 - _DIST_SUB_BITS
+            bucket = (scaled >> shift) + (shift << _DIST_SUB_BITS)
+        counts = self.counts
+        counts[bucket] = counts.get(bucket, 0) + 1
         self.count += 1
         self.total += value
-        if self.min is None or value < self.min:
+        low = self.min
+        if low is None or value < low:
             self.min = value
-        if self.max is None or value > self.max:
+        high = self.max
+        if high is None or value > high:
             self.max = value
 
     @property
@@ -445,6 +460,13 @@ class Distribution:
     def __repr__(self) -> str:
         return (f"Distribution(count={self.count}, mean={self.mean:.3f}, "
                 f"p99={self.p99:.3f}, min={self.min}, max={self.max})")
+
+
+# Distribution.record's bucket geometry, read as module globals on its
+# per-observation path.
+_DIST_SUB_BITS = Distribution.SUB_BITS
+_DIST_FP_SCALE = Distribution._FP_SCALE
+_DIST_EXACT_LIMIT = 1 << (Distribution.SUB_BITS + 1)
 
 
 class Occupancy:

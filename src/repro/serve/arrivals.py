@@ -26,21 +26,31 @@ cycle-denominated service times).
 from __future__ import annotations
 
 import math
+import operator
 import random
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, NamedTuple, Sequence
 
 from ..errors import ServeError
 
 
-@dataclass(frozen=True)
-class Request:
-    """One client request: a probe batch arriving at a point in time."""
+class Request(NamedTuple):
+    """One client request: a probe batch arriving at a point in time.
+
+    An immutable tuple record, equal and hashable by its fields.  The
+    stream builders below make each record with ``tuple.__new__``,
+    skipping the generated constructor, and make it once.
+    """
 
     seq: int          # position in the (merged) arrival order
     client: int       # emitting client stream
     arrival: float    # absolute arrival time, cycles
     keys: int         # probe keys carried by the request
+
+
+_new = tuple.__new__
+
+#: The merge order: ``(arrival, client, seq)``.
+_merge_key = operator.itemgetter(2, 1, 0)
 
 
 class ArrivalProcess:
@@ -63,8 +73,7 @@ class ArrivalProcess:
         if keys_per_request < 1:
             raise ServeError(
                 f"keys_per_request must be >= 1, got {keys_per_request}")
-        return [Request(seq=seq, client=client, arrival=arrival,
-                        keys=keys_per_request)
+        return [_new(Request, (seq, client, arrival, keys_per_request))
                 for seq, arrival in enumerate(self.times(count))]
 
 
@@ -120,9 +129,15 @@ def merge_requests(streams: Iterable[Sequence[Request]]) -> List[Request]:
     and renumbers ``seq`` globally.  Each client's requests keep their
     relative order (their per-client ``seq`` values were already sorted
     by arrival time within the stream).
+
+    A record whose ``seq`` already equals its merged position is
+    returned as it is (records are immutable and equal by fields), so a
+    single client's stream, which sorts in one linear pass, comes back
+    without a new record.
     """
     merged = sorted((request for stream in streams for request in stream),
-                    key=lambda r: (r.arrival, r.client, r.seq))
-    return [Request(seq=seq, client=request.client, arrival=request.arrival,
-                    keys=request.keys)
+                    key=_merge_key)
+    return [request if request.seq == seq
+            else _new(Request, (seq, request.client, request.arrival,
+                                request.keys))
             for seq, request in enumerate(merged)]

@@ -119,6 +119,14 @@ def test_merge_breaks_ties_by_client():
     assert [r.client for r in merged] == [0, 1]
 
 
+def test_merge_passes_a_single_stream_through():
+    """A record already at its merged position is reused, not rebuilt."""
+    stream = PoissonArrivals(2.0, seed=5).requests(50, keys_per_request=4)
+    merged = merge_requests([stream])
+    assert all(a is b for a, b in zip(merged, stream))
+    assert len(merged) == len(stream)
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
