@@ -167,6 +167,24 @@ class TestDemo:
         assert result["conservation"] is True
         assert result["adaptations"] >= 1
 
+    def test_demo_replay_summary_is_pinned(self):
+        """The default replay demo arms every adaptive path (shed, SLO,
+        controller, elastic walkers); its summary is pinned exactly, so
+        a change to how live batches are formed, priced or settled
+        shows up here."""
+        import io
+
+        from repro.live.__main__ import main
+        out = io.StringIO()
+        assert main(["--demo"], out=out) == 0
+        result = json.loads(out.getvalue())["live_demo"]
+        assert result == {
+            "adaptations": 4, "completed": 249, "conservation": True,
+            "expired": 0, "goodput": 7.094594594594598, "in_slo": 161,
+            "makespan": 22744.336347697063, "p99": 6616.123046875,
+            "requests": 400, "shed": 151, "walkers_allocated": 2,
+            "walkers_released": 2}
+
     def test_demo_requires_the_flag(self):
         import io
 
