@@ -1,18 +1,19 @@
 """repro.live: the wall-clock serving front-end.
 
-The serving layer's second driver (after the discrete-event path):
+The serving layer's second transport (after the discrete-event path):
 the same transport-agnostic
-:class:`~repro.serve.core.ServingCore` state machine, driven by real
-time and real request ingestion instead of a simulated schedule.
+:class:`~repro.serve.core.ServingCore` and the same per-core server
+processes, driven by real time and real request ingestion instead of a
+simulated schedule.
 
 Layers, innermost first:
 
 * :mod:`~repro.live.clock` — :class:`WallClock` (monotonic seconds →
   cycles) and :class:`ManualClock` (deterministic replay).
 * :mod:`~repro.live.service` — :class:`LiveService`, a synchronous
-  poll-able state machine: arrivals via ``offer``, time via ``advance``,
-  with an internal heap for batch completions, deadline holds and
-  controller ticks.  Adds the live-level adaptation: elastic walker
+  poll-able front: arrivals via ``offer``, time via ``advance``, which
+  steps a discrete-event engine running the DES driver's server and
+  controller processes.  Adds the live-level adaptation: elastic walker
   allocation on the controller's windowed-p99 level delta.
 * :mod:`~repro.live.server` / :mod:`~repro.live.client` — an asyncio
   newline-JSON transport (probe / stats / trail / shutdown) and a

@@ -49,7 +49,7 @@ from .clock import ManualClock
 from .service import LiveService
 
 #: Pump granularity in wall mode: the longest the server sleeps before
-#: re-checking the service's event heap (seconds).
+#: re-checking the service's next scheduled event (seconds).
 PUMP_SLICE_SECONDS = 0.02
 
 

@@ -14,9 +14,9 @@ Two drivers exist:
   resilience features armed or not, goes through it; the committed
   golden reports pin its event schedule byte for byte;
 * the wall-clock driver (:mod:`repro.live`) maps ``time.monotonic`` onto
-  cycles and drives the same state machine from asyncio.  It prices a
-  batch once, when it starts, so it refuses an active walker-fault
-  model (mid-batch aborts are the discrete-event driver's).
+  cycles and steps the discrete-event driver's own server and
+  controller processes from asyncio, so batching, pricing and
+  mid-batch walker-fault aborts are the same code in both.
 
 The ``serve.shed``, ``serve.expired`` and ``serve.aborts`` counters are
 published only when a run arms a resilience feature (a ``shed:`` or

@@ -12,9 +12,9 @@ Three policies, in increasing willingness to trade latency for batching:
 * :class:`FifoPolicy` — serve each request alone, immediately.
 * :class:`BatchBySize` — greedily absorb already-queued requests up to a
   cap; never waits for future arrivals.
-* :class:`BatchByDeadline` — after the first request arrives, hold the
-  batch open a fixed number of cycles, then serve everything queued
-  (optionally capped).
+* :class:`BatchByDeadline` — once the server takes a first request,
+  hold the batch open a fixed number of cycles, then serve everything
+  queued (optionally capped).
 
 On top of those, two composable *admission wrappers* (the resilience
 layer; see :mod:`repro.serve.core`):
@@ -103,9 +103,11 @@ class BatchByDeadline(SchedulingPolicy):
     """Hold the batch open ``wait`` cycles after its first request, then
     serve everything queued (up to ``max_batch`` if given).
 
-    The deadline bounds the batching delay any request can be charged:
-    a request waits at most ``wait`` cycles for co-batched company, on
-    top of ordinary queueing behind earlier batches.
+    The hold starts when the server takes the first request, not when
+    that request arrived: a request that queued behind earlier batches
+    still waits the full ``wait`` once it heads a batch.  So a request
+    is charged at most ``wait`` cycles of batching delay on top of
+    ordinary queueing behind earlier batches.
     """
 
     def __init__(self, wait: float, max_batch: Optional[int] = None) -> None:

@@ -23,7 +23,9 @@ timestamps.  A run arms those features when asked — a ``shed:`` /
 controller) — and the processes skip each check that cannot fire, so a
 run with none armed keeps the event schedule of the original
 throughput–latency simulation (the fig-serve golden pins it byte for
-byte).  The same core drives the wall-clock :mod:`repro.live` service.
+byte).  The wall-clock :mod:`repro.live` service runs
+:func:`server_process` and :func:`controller_process` too, on an engine
+it steps to the caller's clock.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from .service import ServiceModel
 # repro.serve.core with the core extraction; every existing import path
 # (`from repro.serve.simulate import ResilienceConfig`) keeps working.
 __all__ = [
-    "ResilienceConfig", "ServeResult", "build_requests", "run_open_loop",
-    "simulate_service",
+    "ResilienceConfig", "ServeResult", "build_requests", "controller_process",
+    "run_open_loop", "server_process", "simulate_service",
 ]
 
 
@@ -73,8 +75,8 @@ def _source(engine: Engine, requests: Sequence[Request],
         queue.close()
 
 
-def _server(engine: Engine, queue: BoundedQueue, core: ServingCore,
-            capacity: CoreCapacity):
+def server_process(engine: Engine, queue: BoundedQueue, core: ServingCore,
+                   capacity: CoreCapacity):
     """Collect batches through the core's active policy and serve them.
 
     Requests that would miss their deadline are dropped before a batch
@@ -116,7 +118,7 @@ def _server(engine: Engine, queue: BoundedQueue, core: ServingCore,
             break
 
 
-def _controller_proc(engine: Engine, core: ServingCore):
+def controller_process(engine: Engine, core: ServingCore):
     """Window tick: hand the core one controller observation per window.
 
     Runs until every server has drained, so the controller never
@@ -168,10 +170,11 @@ def simulate_service(requests: Sequence[Request], model: ServiceModel, *,
     engine.process(_source(engine, requests, queues, core),
                    name="serve.source")
     for i, queue in enumerate(queues):
-        engine.process(_server(engine, queue, core, core.capacities[i]),
-                       name=f"serve.core{i}.server")
+        engine.process(
+            server_process(engine, queue, core, core.capacities[i]),
+            name=f"serve.core{i}.server")
     if core.controller is not None:
-        engine.process(_controller_proc(engine, core),
+        engine.process(controller_process(engine, core),
                        name="serve.controller")
     end = engine.run()
     engine.register_into(registry, "serve.engine")

@@ -377,6 +377,13 @@ class Engine:
         """Scheduled-but-undispatched entries (heap plus current-cycle batch)."""
         return len(self._queue) + len(self._batch)
 
+    @property
+    def next_time(self) -> Optional[float]:
+        """When the next scheduled wakeup is due (None when nothing is)."""
+        if self._batch:
+            return self.now
+        return self._queue[0][0] if self._queue else None
+
     def register_into(self, registry, prefix: str = "sim.engine") -> None:
         """Publish event-throughput counters under ``prefix``."""
         registry.register(f"{prefix}.dispatched", self.dispatched)

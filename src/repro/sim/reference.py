@@ -108,3 +108,7 @@ class ReferenceEngine(Engine):
     @property
     def pending_events(self) -> int:
         return len(self._ref_queue)
+
+    @property
+    def next_time(self) -> Optional[float]:
+        return min(self._ref_queue)[0] if self._ref_queue else None

@@ -23,9 +23,9 @@ MODEL = ServiceModel("synthetic", 8, {1: 100.0, 2: 160.0, 4: 280.0})
 
 
 def replay(requests, *, policy="fifo", cores=1, resilience=None,
-           walkers=None):
+           walkers=None, model=MODEL):
     """Push a request schedule through a LiveService and finalize it."""
-    service = LiveService(MODEL, policy=policy, cores=cores,
+    service = LiveService(model, policy=policy, cores=cores,
                           resilience=resilience, clock=ManualClock(),
                           walkers=walkers)
     for request in requests:
@@ -115,20 +115,50 @@ class TestBasicServing:
 
 
 class TestWalkerFaults:
-    """A live batch is priced once, when it starts; the DES aborts it at
-    a mid-batch walker death.  So the live driver refuses an active fault
-    model instead of serving it with different results."""
+    """Live batches run through the DES server processes, so a walker
+    death inside a batch aborts it at the death instant in both drivers."""
 
     @staticmethod
-    def faulted(rate):
+    def faulted(rate, model=MODEL):
         return ResilienceConfig(
-            slo=30_000.0, fallback=MODEL.scaled(2.5),
+            slo=30_000.0, fallback=model.scaled(2.5),
             faults=WalkerFaultModel(seed=7, rate=rate, walkers_per_core=2))
 
-    def test_active_fault_model_is_refused(self):
-        with pytest.raises(ServeError, match="walker faults"):
-            LiveService(MODEL, policy="shed:32", cores=4,
-                        resilience=self.faulted(40.0), clock=ManualClock())
+    def test_fault_scenario_matches_des(self):
+        # EXPERIMENTS.md's fault scenario: the bench model, 4 cores at
+        # 0.9x saturation, 2000 requests, shed:32, 40 deaths/walker/Mcycle.
+        model = ServiceModel("bench", 8, {1: 840.0, 4: 2260.0,
+                                          16: 7400.0, 64: 26000.0})
+        rate = 0.9 * 4 * model.saturation_rate()
+        requests = build_requests(rate, 2000, 8, seed=7)
+        resilience = self.faulted(40.0, model)
+        des = simulate_service(requests, model,
+                               policy=parse_policy("shed:32"), cores=4,
+                               resilience=resilience)
+        live = replay(requests, policy="shed:32", cores=4,
+                      resilience=resilience, model=model).result()
+        assert (des.completed, des.shed,
+                des.stats["serve.aborts"]["value"]) == (1054, 946, 8)
+        assert (live.completed, live.shed, live.faults) == \
+            (des.completed, des.shed, des.faults)
+        assert live.stats["serve.aborts"] == des.stats["serve.aborts"]
+        assert live.makespan == des.makespan
+        assert live.p99 == des.p99
+
+    def test_degraded_core_still_flexes_its_walkers(self):
+        # One of the core's two walkers dies at ~138 cycles; the frugal
+        # pool (2 of 4 active) doubles the degraded price: 100 * 2 * 2.
+        resilience = ResilienceConfig(
+            slo=2500.0, controller=parse_controller("p99:2000:2:3:all"),
+            fallback=MODEL.scaled(2.5),
+            faults=WalkerFaultModel(seed=7, rate=1000.0,
+                                    walkers_per_core=2))
+        service = LiveService(MODEL, resilience=resilience,
+                              clock=ManualClock(), walkers=(2, 4))
+        service.offer(now=200.0)
+        service.close()
+        service.drain()
+        assert service.result().makespan == 200.0 + 400.0
 
     def test_inactive_fault_model_serves_like_the_des(self):
         requests = build_requests(30.0, 80, 8, seed=7)
@@ -197,6 +227,25 @@ class TestDifferentialAgainstDES:
         assert live.completed == des.completed
         assert live.makespan == pytest.approx(des.makespan)
         assert live.latency.count == des.latency.count
+        assert live.p50 == des.p50
+        assert live.p99 == des.p99
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("rate", [5.0, 12.0, 30.0])
+    @pytest.mark.parametrize("spec", [
+        "deadline:100", "deadline:100:4", "deadline:300:2",
+        "timeout:800:deadline:100:4",
+    ])
+    def test_deadline_policies_match_des(self, spec, rate, cores):
+        # A deadline policy holds its batch open from the moment the
+        # server takes the first request, not from that request's
+        # arrival; both drivers run the policy's own collect.
+        requests = build_requests(rate, 200, 8, seed=21)
+        des = simulate_service(requests, MODEL, policy=parse_policy(spec),
+                               cores=cores)
+        live = replay(requests, policy=spec, cores=cores).result()
+        assert (live.completed, live.expired) == (des.completed, des.expired)
+        assert live.makespan == des.makespan
         assert live.p50 == des.p50
         assert live.p99 == des.p99
 

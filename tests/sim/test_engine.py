@@ -155,6 +155,26 @@ def test_run_until_before_now_rejected(engine_cls):
 
 
 @pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine])
+def test_next_time_reports_the_next_wakeup(engine_cls):
+    engine = engine_cls(detect_deadlock=False)
+    assert engine.next_time is None
+    gate = Event()
+
+    def proc():
+        yield 10.0
+        yield gate
+
+    engine.process(proc())
+    assert engine.next_time == 0.0        # the start, due now
+    engine.run(until=4.0)
+    assert engine.next_time == 10.0
+    engine.run(until=10.0)
+    assert engine.next_time is None       # parked on an unfired event
+    gate.succeed()
+    assert engine.next_time == 10.0       # the waiter resumes now
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine])
 @pytest.mark.parametrize("delay,message", [
     (float("nan"), "non-finite delay: nan"),
     (float("inf"), "non-finite delay: inf"),
