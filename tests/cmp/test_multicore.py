@@ -114,6 +114,22 @@ class TestMulticoreBaseline:
                                      core="inorder")
         assert ino.cycles_per_tuple > ooo.cycles_per_tuple
 
+    #: Per-core completion cycles (``repr``) of a 2-thread chip over
+    #: the 400 first probes of :func:`workload`.
+    PINNED_PER_CORE = {
+        "ooo": {0: "11397.0", 1: "10821.0"},
+        "inorder": {0: "17344.0", 1: "17241.0"},
+    }
+
+    @pytest.mark.parametrize("core", sorted(PINNED_PER_CORE))
+    def test_per_core_cycles_are_pinned(self, workload, core):
+        from repro.cmp import run_multicore_baseline
+        index, column = workload
+        result = run_multicore_baseline(index, column, threads=2,
+                                        probes=400, core=core)
+        per_core = {i: repr(c) for i, c in result.per_core_cycles.items()}
+        assert per_core == self.PINNED_PER_CORE[core]
+
     def test_unknown_core_rejected(self, workload):
         from repro.cmp import run_multicore_baseline
         from repro.errors import WidxFault

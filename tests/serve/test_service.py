@@ -1,5 +1,8 @@
 """Tests for service-time calibration on the detailed simulators."""
 
+import json
+import zlib
+
 import pytest
 
 from repro.errors import ServeError
@@ -21,6 +24,28 @@ def test_core_backend_measures_whole_batch_cost(small_workload):
     # Per-key cost must not grow with batch size (warm-up amortizes).
     assert four.cycles_per_key <= one.cycles_per_key
     assert one.stats  # registry snapshot attached
+
+
+#: ``measure_service`` on the core backends over the Small kernel (64
+#: probes, seed 42): (backend, batch_keys) -> (``repr`` of the cycles,
+#: CRC-32 of the stats snapshot as sorted JSON).
+CORE_SERVICE_PINS = {
+    ("ooo", 8): ("550.0", 0x28228551),
+    ("ooo", 32): ("1458.0", 0x656356e9),
+    ("inorder", 8): ("723.0", 0x83f454d6),
+    ("inorder", 32): ("2441.0", 0xa198b9fe),
+}
+
+
+@pytest.mark.parametrize("backend,batch_keys", sorted(CORE_SERVICE_PINS))
+def test_core_backend_measurement_is_pinned(small_workload, backend,
+                                            batch_keys):
+    index, probes = small_workload
+    measurement = measure_service(index, probes, backend=backend,
+                                  batch_keys=batch_keys)
+    crc = zlib.crc32(json.dumps(measurement.stats, sort_keys=True).encode())
+    assert (repr(measurement.cycles), crc) == \
+        CORE_SERVICE_PINS[(backend, batch_keys)], f"crc {crc:#010x}"
 
 
 def test_widx_backend_includes_configuration_cost(small_workload):
