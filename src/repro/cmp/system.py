@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..config import SystemConfig, DEFAULT_CONFIG
-from ..cpu.timing import warm_hash_index
+from ..cpu.ordered import TRACE_GENERATORS
+from ..cpu.timing import core_model, warm_hash_index
 from ..db.column import Column
 from ..db.hashtable import HashIndex
 from ..errors import ConfigError, WidxFault
@@ -251,10 +252,6 @@ def run_multicore_baseline(index: HashIndex, probe_column: Column, *,
     controller reservations approximately causal (the same tolerance the
     analytic resources already absorb).
     """
-    from ..cpu.inorder import InOrderCore
-    from ..cpu.ooo import OutOfOrderCore
-    from ..cpu.trace import ProbeTraceGenerator
-
     if not probe_column.is_materialized:
         raise WidxFault("probe keys must be materialized in simulated memory")
     cmp_system = ChipMultiprocessor(config, threads)
@@ -267,21 +264,15 @@ def run_multicore_baseline(index: HashIndex, probe_column: Column, *,
         cmp_system.warm_all(index)
 
     chunk = (probes + threads - 1) // threads
+    generator = TRACE_GENERATORS["hash"](index, probe_column)
     cores = []
     streams = []
     for core_index in range(threads):
-        hierarchy = cmp_system.core(core_index)
-        if core == "ooo":
-            model = OutOfOrderCore(config.ooo, hierarchy)
-        elif core == "inorder":
-            model = InOrderCore(config.inorder, hierarchy)
-        else:
-            raise WidxFault(f"unknown baseline core {core!r}")
+        cores.append(core_model(core, config, cmp_system.core(core_index),
+                                WidxFault))
         first = core_index * chunk
-        rows = range(first, min(first + chunk, probes))
-        generator = ProbeTraceGenerator(index, probe_column)
-        cores.append(model)
-        streams.append(generator.stream(rows))
+        streams.append(generator.stream(
+            range(first, min(first + chunk, probes))))
 
     live = list(range(threads))
     while live:

@@ -17,10 +17,11 @@ from .uops import Uop, UopKind
 from .trace import ProbeTraceGenerator
 from .ooo import OutOfOrderCore
 from .inorder import InOrderCore
-from .timing import CoreTimingResult, measure_indexing
-from .ordered import (BatchedTreeTraceGenerator, TreeTraceGenerator,
-                      TrieTraceGenerator, WormholeTraceGenerator,
-                      measure_ordered_indexing)
+from .timing import (CoreTimingResult, core_model, measure_indexing,
+                     time_probe_loop)
+from .ordered import (TRACE_GENERATORS, BatchedTreeTraceGenerator,
+                      TreeTraceGenerator, TrieTraceGenerator,
+                      WormholeTraceGenerator, measure_ordered_indexing)
 
 __all__ = [
     "Uop",
@@ -29,7 +30,10 @@ __all__ = [
     "OutOfOrderCore",
     "InOrderCore",
     "CoreTimingResult",
+    "core_model",
     "measure_indexing",
+    "time_probe_loop",
+    "TRACE_GENERATORS",
     "TreeTraceGenerator",
     "TrieTraceGenerator",
     "WormholeTraceGenerator",

@@ -1,4 +1,5 @@
-"""Baseline-core traces and timing for the ordered-index zoo.
+"""Baseline-core traces for the ordered-index zoo, and the generator
+of every index class.
 
 Each generator expands live-structure traversals into uop traces whose
 dependency shapes are the experiment:
@@ -19,6 +20,16 @@ dependency shapes are the experiment:
   many of the batch's probes route through it, so repeat visits become
   register/L1 reuse instead of fresh misses.
 
+Like the Widx programs (:mod:`repro.widx.programs`), the generators
+share their common steps as fragments over the :mod:`repro.db` layout
+constants: :func:`_leaf_point_scan` (B+-tree and wormhole leaves, which
+use one layout) and :func:`_bucket_chain` (trie buckets and the
+wormhole's meta-hash buckets, each with its own slot offsets).
+:data:`TRACE_GENERATORS` names the generator of every index class, the
+hash kernel's included; :func:`measure_ordered_indexing` times one on
+:func:`repro.cpu.timing.time_probe_loop`, the loop every baseline
+measurement runs.
+
 Addresses are real simulated-memory addresses read from the live
 structures, so running a trace through the hierarchy reproduces true
 block reuse — the same property :mod:`repro.cpu.trace` relies on.  Each
@@ -28,7 +39,7 @@ loads, each read once straight from simulated memory.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from ..config import SystemConfig, DEFAULT_CONFIG
 from ..db import btree as _btree
@@ -38,29 +49,75 @@ from ..db.btree import BPlusTree
 from ..db.column import Column
 from ..db.trie import MlpTrie, probe_value, tag_value
 from ..db.wormhole import WormholeIndex
-from ..mem.hierarchy import MemoryHierarchy
 from ..mem.physmem import NULL_PTR
-from .timing import CoreTimingResult, _time_traces, warm_hash_index
-from .trace import TraceGenerator, address_chain
+from .timing import CoreTimingResult, time_probe_loop
+from .trace import ProbeTraceGenerator, TraceGenerator, address_chain
 from .uops import (BRANCH_PREV, LOOP_TAIL, LOOP_TAIL_MISPREDICTED, TEST_PREV,
                    TraceBuilder, Uop)
+
+#: Byte offset of each key (and payload) slot in a B+-tree-layout node.
+_SLOT_OFFSETS = tuple(_btree._KEY_BYTES * slot for slot in range(_btree.FANOUT))
+
+
+def _leaf_point_scan(trace: TraceBuilder, read, leaf: int, dep: int,
+                     key: int, key_ready: int) -> None:
+    """Scan the B+-tree-layout leaf at ``leaf`` for ``key``: compare each
+    key slot (its load waiting on ``dep``, the leaf's own load) with the
+    probe key loaded at ``key_ready`` and load the payload on a match.
+    A full miss ends on a mispredicted branch: the miss exit deviates
+    from the common found path."""
+    for offset in _SLOT_OFFSETS:
+        trace.compare(leaf + _btree._KEYS_OFFSET + offset, dep, key_ready)
+        if read(leaf + _btree._KEYS_OFFSET + offset, 4) == key:
+            trace.load(leaf + _btree._PAYLOADS_OFFSET + offset, dep)
+            return
+    trace.mispredicted_branch(dep)
+
+
+def _bucket_chain(trace: TraceBuilder, read, block: int, dep: int,
+                  key_ready: int, tag: int, tags: Sequence[int], value: int,
+                  overflow: int) -> Tuple[Optional[int], int]:
+    """Probe the bucket chain from ``block`` for ``tag``: compare the
+    8-byte slot tag at each offset in ``tags`` (loads waiting on ``dep``,
+    the bucket address), then follow the overflow pointer at
+    ``overflow``, a dependent load.  On a match load the word ``value``
+    bytes past the tag and return its address and the load's index; at
+    the end of the chain return ``None`` and the last uop's index."""
+    last = dep
+    while block != NULL_PTR:
+        for offset in tags:
+            trace.compare(block + offset, dep, key_ready)
+            if read(block + offset, 8) == tag:
+                return (block + offset + value,
+                        trace.load(block + offset + value, dep))
+        dep = trace.load(block + overflow, dep)
+        last = trace.run(BRANCH_PREV)
+        block = read(block + overflow, 8)
+    return None, last
+
+
+#: Tag offsets within a trie bucket, and a slot's payload past its tag.
+_TRIE_TAGS = tuple(_trie._SLOT_BASE + index * _trie.SLOT_BYTES
+                   + _trie._TAG_OFFSET
+                   for index in range(_trie.SLOTS_PER_BUCKET))
+_TRIE_VALUE = _trie._PAYLOAD_OFFSET - _trie._TAG_OFFSET
+#: Tag offsets within a wormhole meta bucket, and a slot's leaf pointer.
+_META_TAGS = tuple(_wormhole._META_SLOT_BASE
+                   + index * _wormhole.META_SLOT_BYTES
+                   + _wormhole._META_TAG_OFFSET
+                   for index in range(_wormhole.META_SLOTS_PER_BUCKET))
+_META_VALUE = _wormhole._META_LEAF_OFFSET - _wormhole._META_TAG_OFFSET
 
 
 class TreeTraceGenerator(TraceGenerator):
     """Per-probe B+-tree descents: the dependent-load chain baseline."""
-
-    def __init__(self, tree: BPlusTree, probe_keys: Column,
-                 model_mispredicts: bool = True) -> None:
-        super().__init__(probe_keys)
-        self.tree = tree
-        self.model_mispredicts = model_mispredicts
 
     def probe_uops(self, row: int) -> List[Uop]:
         """One root-to-leaf descent: a load per level, each dependent
         on its parent's load — the pointer chase an OoO window can only
         overlap *across* probes, never within one.  The descent is the
         functional search itself, reading each node word once."""
-        tree = self.tree
+        tree = self.index
         read = tree.memory.read
         trace = TraceBuilder()
         load, compare, run = trace.load, trace.compare, trace.run
@@ -75,20 +132,11 @@ class TreeTraceGenerator(TraceGenerator):
             meta = node + _btree._META_OFFSET
             meta_ready = load(meta, node_dep)
             run(TEST_PREV)
-            keys = node + _btree._KEYS_OFFSET
             if read(meta, 8) & _btree.META_LEAF:
-                for slot in range(_btree.FANOUT):
-                    compare(keys + _btree._KEY_BYTES * slot, meta_ready,
-                            key_ready)
-                    if read(keys + _btree._KEY_BYTES * slot, 4) == key:
-                        load(node + _btree._PAYLOADS_OFFSET
-                             + _btree._KEY_BYTES * slot, meta_ready)
-                        break
-                else:
-                    if self.model_mispredicts:
-                        # The miss exit deviates from the common found path.
-                        trace.mispredicted_branch(meta_ready)
+                _leaf_point_scan(trace, read, node, meta_ready, key,
+                                 key_ready)
                 break
+            keys = node + _btree._KEYS_OFFSET
             slot = 0
             while slot < _btree.FANOUT:
                 compare(keys + _btree._KEY_BYTES * slot, meta_ready,
@@ -111,66 +159,47 @@ class TreeTraceGenerator(TraceGenerator):
 class TrieTraceGenerator(TraceGenerator):
     """Per-probe hashed-trie lookups: independent per-level fetches."""
 
-    def __init__(self, trie: MlpTrie, probe_keys: Column,
-                 model_mispredicts: bool = True) -> None:
-        super().__init__(probe_keys)
-        self.trie = trie
-        self.model_mispredicts = model_mispredicts
+    def __init__(self, trie: MlpTrie, probe_keys: Column) -> None:
+        super().__init__(trie, probe_keys)
         self._typical_depth = max(1, round(trie.mean_depth))
         self._address_chain = address_chain(trie.hash_spec, extra=1)
 
     def probe_uops(self, row: int) -> List[Uop]:
         """One MLP-trie lookup: every candidate bucket address depends
         only on the key load, so the level fetches issue in parallel."""
-        trie = self.trie
+        trie = self.index
         read = trie.memory.read
         trace = TraceBuilder()
-        load, compare, run = trace.load, trace.compare, trace.run
 
         key = int(self.probe_keys.values[row])
-        key_ready = load(self.probe_keys.address_of(row))
+        key_ready = trace.load(self.probe_keys.address_of(row))
 
-        hit_depth = None
+        hit_depth = _trie.MAX_DEPTH
         for depth in range(1, _trie.MAX_DEPTH + 1):
             # Probe value, hash and bucket address are functions of the
             # key alone: the whole address chain for this depth depends
             # only on the key load, NOT on any other depth — the MLP the
-            # layout exists to expose.
-            trace.alu(key_ready)                 # shift; then + depth tag,
-            block_dep = run(self._address_chain)  # hash, bucket address
-
-            expect = tag_value(key, depth)
-            block = trie.bucket_addr(key, depth)
-            while block != NULL_PTR:
-                for index in range(_trie.SLOTS_PER_BUCKET):
-                    slot = block + _trie._SLOT_BASE + index * _trie.SLOT_BYTES
-                    compare(slot + _trie._TAG_OFFSET, block_dep, key_ready)
-                    if read(slot + _trie._TAG_OFFSET, 8) == expect:
-                        load(slot + _trie._PAYLOAD_OFFSET, block_dep)
-                        hit_depth = depth
-                        break
-                if hit_depth is not None:
-                    break
-                # Overflow pointer: the intra-bucket chain IS dependent.
-                block_dep = load(block + _trie._OVERFLOW_OFFSET, block_dep)
-                run(BRANCH_PREV)
-                block = read(block + _trie._OVERFLOW_OFFSET, 8)
-            if hit_depth is not None:
+            # layout exists to expose.  Only the overflow chain within a
+            # depth is dependent.
+            trace.alu(key_ready)                       # shift; then + tag,
+            block_dep = trace.run(self._address_chain)  # hash, bucket
+            hit, _last = _bucket_chain(
+                trace, read, trie.bucket_addr(key, depth), block_dep,
+                key_ready, tag_value(key, depth), _TRIE_TAGS, _TRIE_VALUE,
+                _trie._OVERFLOW_OFFSET)
+            if hit is not None:
+                hit_depth = depth
                 break
-        mispredict = (self.model_mispredicts
-                      and (hit_depth or _trie.MAX_DEPTH) != self._typical_depth)
-        run(LOOP_TAIL_MISPREDICTED if mispredict else LOOP_TAIL)
+        trace.run(LOOP_TAIL_MISPREDICTED if hit_depth != self._typical_depth
+                  else LOOP_TAIL)
         return trace.uops
 
 
 class WormholeTraceGenerator(TraceGenerator):
     """Per-probe wormhole lookups: binary search then a bounded walk."""
 
-    def __init__(self, index: WormholeIndex, probe_keys: Column,
-                 model_mispredicts: bool = True) -> None:
-        super().__init__(probe_keys)
-        self.index = index
-        self.model_mispredicts = model_mispredicts
+    def __init__(self, index: WormholeIndex, probe_keys: Column) -> None:
+        super().__init__(index, probe_keys)
         self._address_chain = address_chain(index.hash_spec, extra=1)
 
     def probe_uops(self, row: int) -> List[Uop]:
@@ -185,10 +214,10 @@ class WormholeTraceGenerator(TraceGenerator):
         key_ready = load(self.probe_keys.address_of(row))
 
         # Binary search over prefix depths.  Unlike the trie, the NEXT
-        # depth to probe is decided by the CURRENT probe's outcome, so
-        # each probe's address chain carries a dependency on the previous
-        # probe — a short dependent chain (log depths), traded for the
-        # tree's tall one.
+        # depth to probe is decided by the CURRENT probe's outcome (the
+        # last uop on its path), so each probe's address chain carries a
+        # dependency on the previous probe — a short dependent chain (log
+        # depths), traded for the tree's tall one.
         lo, hi = 0, _wormhole.MAX_DEPTH
         best = wh.first_leaf
         outcome_dep = key_ready
@@ -196,33 +225,15 @@ class WormholeTraceGenerator(TraceGenerator):
             mid = (lo + hi + 1) // 2
             trace.alu(key_ready, outcome_dep)    # prefix at this depth,
             block_dep = run(self._address_chain)  # hash, bucket address
-
             value = probe_value(key, mid)
-            found = None
-            # The probe's outcome is the last uop on its path.
-            outcome_dep = block_dep
-            block = wh.meta_bucket_addr(value)
-            while block != NULL_PTR:
-                for index in range(_wormhole.META_SLOTS_PER_BUCKET):
-                    slot = (block + _wormhole._META_SLOT_BASE
-                            + index * _wormhole.META_SLOT_BYTES)
-                    compare(slot + _wormhole._META_TAG_OFFSET, block_dep,
-                            key_ready)
-                    if read(slot + _wormhole._META_TAG_OFFSET, 8) == value:
-                        outcome_dep = load(
-                            slot + _wormhole._META_LEAF_OFFSET, block_dep)
-                        found = read(slot + _wormhole._META_LEAF_OFFSET, 8)
-                        break
-                if found is not None:
-                    break
-                block_dep = load(block + _wormhole._META_OVERFLOW_OFFSET,
-                                 block_dep)
-                outcome_dep = run(BRANCH_PREV)
-                block = read(block + _wormhole._META_OVERFLOW_OFFSET, 8)
+            found, outcome_dep = _bucket_chain(
+                trace, read, wh.meta_bucket_addr(value), block_dep,
+                key_ready, value, _META_TAGS, _META_VALUE,
+                _wormhole._META_OVERFLOW_OFFSET)
             if found is None:
                 hi = mid - 1
             else:
-                best = found
+                best = read(found, 8)
                 lo = mid
 
         # Forward leaf walk: anchors are read through a dependent chain.
@@ -240,32 +251,21 @@ class WormholeTraceGenerator(TraceGenerator):
             leaf = nxt
             leaf_dep = next_ready
 
-        # Final leaf: scan slots for the key.
-        for slot in range(_wormhole.FANOUT):
-            offset = _btree._KEY_BYTES * slot
-            compare(leaf + _wormhole._KEYS_OFFSET + offset, leaf_dep,
-                    key_ready)
-            if read(leaf + _wormhole._KEYS_OFFSET + offset, 4) == key:
-                load(leaf + _wormhole._PAYLOADS_OFFSET + offset, leaf_dep)
-                break
-        else:
-            if self.model_mispredicts:
-                trace.mispredicted_branch(leaf_dep)
+        _leaf_point_scan(trace, read, leaf, leaf_dep, key, key_ready)
         run(LOOP_TAIL)
         return trace.uops
 
 
 class BatchedTreeTraceGenerator(TraceGenerator):
-    """Level-wise batched descents: each trace consumes ``batch`` probes."""
+    """Level-wise batched descents: each trace consumes ``batch`` probes,
+    sorted by key so that neighbours share the upper nodes' fetches."""
 
     def __init__(self, tree: BPlusTree, probe_keys: Column,
-                 batch: int = 4, sort_batches: bool = True) -> None:
-        super().__init__(probe_keys)
+                 batch: int = 4) -> None:
+        super().__init__(tree, probe_keys)
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        self.tree = tree
         self.batch = batch
-        self.sort_batches = sort_batches
         self.tuples_per_trace = batch
 
     def stream(self, rows: Optional[Sequence[int]] = None) -> Iterator[List[Uop]]:
@@ -282,18 +282,17 @@ class BatchedTreeTraceGenerator(TraceGenerator):
         batch's frontier is loaded once per level and later members of
         the group reuse the loaded block (and its key words, read once
         per node)."""
-        tree = self.tree
+        tree = self.index
         read = tree.memory.read
         trace = TraceBuilder()
         load, compare_loaded = trace.load, trace.compare_loaded
 
         keys = [int(self.probe_keys.values[row]) for row in rows]
         key_ready = [load(self.probe_keys.address_of(row)) for row in rows]
-        order = sorted(range(len(keys)), key=keys.__getitem__) \
-            if self.sort_batches else list(range(len(keys)))
 
         # frontier: probe slot -> (node, index of the parent's load).
-        frontier = [(i, tree.root, key_ready[i]) for i in order]
+        frontier = [(i, tree.root, key_ready[i])
+                    for i in sorted(range(len(keys)), key=keys.__getitem__)]
         while frontier:
             groups: Dict[int, List] = {}
             for i, node, dep in frontier:
@@ -305,9 +304,8 @@ class BatchedTreeTraceGenerator(TraceGenerator):
                 meta = node + _btree._META_OFFSET
                 node_ready = load(meta, members[0][1])
                 trace.run(TEST_PREV)
-                node_keys = [read(node + _btree._KEYS_OFFSET
-                                  + _btree._KEY_BYTES * slot, 4)
-                             for slot in range(_btree.FANOUT)]
+                node_keys = [read(node + _btree._KEYS_OFFSET + offset, 4)
+                             for offset in _SLOT_OFFSETS]
                 leaf = read(meta, 8) & _btree.META_LEAF
                 for i, _dep in members:
                     key = keys[i]
@@ -320,7 +318,7 @@ class BatchedTreeTraceGenerator(TraceGenerator):
                         compare_loaded(node_ready, key_ready[i], slot + 1)
                         if node_keys[slot] == key:
                             load(node + _btree._PAYLOADS_OFFSET
-                                 + _btree._KEY_BYTES * slot, node_ready)
+                                 + _SLOT_OFFSETS[slot], node_ready)
                         continue
                     while slot < _btree.FANOUT and key > node_keys[slot]:
                         slot += 1
@@ -336,18 +334,15 @@ class BatchedTreeTraceGenerator(TraceGenerator):
         return trace.uops
 
 
-def make_ordered_generator(index_class: str, index, probe_keys: Column, *,
-                           batch: int = 4) -> TraceGenerator:
-    """The trace generator matching an ordered workload class."""
-    if index_class == "btree":
-        return TreeTraceGenerator(index, probe_keys)
-    if index_class == "trie":
-        return TrieTraceGenerator(index, probe_keys)
-    if index_class == "wormhole":
-        return WormholeTraceGenerator(index, probe_keys)
-    if index_class == "batched":
-        return BatchedTreeTraceGenerator(index, probe_keys, batch=batch)
-    raise ValueError(f"unknown ordered index class {index_class!r}")
+#: The trace generator of every index class: the hash kernel's and the
+#: ordered zoo's (:data:`repro.workloads.ordered_kernel.ORDERED_CLASSES`).
+TRACE_GENERATORS: Dict[str, Type[TraceGenerator]] = {
+    "hash": ProbeTraceGenerator,
+    "btree": TreeTraceGenerator,
+    "trie": TrieTraceGenerator,
+    "wormhole": WormholeTraceGenerator,
+    "batched": BatchedTreeTraceGenerator,
+}
 
 
 def measure_ordered_indexing(index, probe_keys: Column, *,
@@ -356,31 +351,14 @@ def measure_ordered_indexing(index, probe_keys: Column, *,
                              config: SystemConfig = DEFAULT_CONFIG,
                              warmup_probes: int = 64,
                              measure_probes: Optional[int] = None,
-                             batch: int = 4,
                              batch_size: int = 128,
                              warm_index: bool = True) -> CoreTimingResult:
-    """Run an ordered-index probe loop on a baseline core model.
-
-    Mirrors :func:`repro.cpu.timing.measure_indexing`.
-
-    ``warmup_probes``/``measure_probes`` count probes (tuples), not
-    traces: for the batched class they are rounded down to whole batches.
-    """
-    memory = MemoryHierarchy(config)
-    if warm_index:
-        warm_hash_index(memory, index)
-    generator = make_ordered_generator(index_class, index, probe_keys,
-                                       batch=batch)
-    per_trace = generator.tuples_per_trace
-    total_rows = len(probe_keys.values)
-    limit = total_rows if measure_probes is None else min(
-        total_rows, warmup_probes + measure_probes)
-    rows = range((limit // per_trace) * per_trace)
-    warmup_traces = warmup_probes // per_trace
-    if len(rows) // per_trace <= warmup_traces:
-        raise ValueError(
-            f"need more than {warmup_probes} probes to measure after warm-up")
-    return _time_traces(generator.stream(rows), memory, core=core,
-                        config=config, warmup_traces=warmup_traces,
-                        batch_size=max(1, batch_size // per_trace),
-                        tuples_per_trace=per_trace)
+    """Run an ``index_class`` probe loop on a baseline core model; return
+    cycles/tuple (see :func:`repro.cpu.timing.time_probe_loop`)."""
+    if index_class not in TRACE_GENERATORS:
+        raise ValueError(f"unknown index class {index_class!r}")
+    return time_probe_loop(TRACE_GENERATORS[index_class](index, probe_keys),
+                           core=core, config=config,
+                           warmup_probes=warmup_probes,
+                           measure_probes=measure_probes,
+                           batch_size=batch_size, warm_index=warm_index)

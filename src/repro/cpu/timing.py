@@ -8,7 +8,7 @@ the remaining probes, reporting a 95% confidence interval over batch means.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Optional, Type
 
 from ..config import SystemConfig, DEFAULT_CONFIG
 from ..db.column import Column
@@ -18,8 +18,7 @@ from ..obs import StatsRegistry
 from ..sim.sampling import BatchStats
 from .inorder import InOrderCore
 from .ooo import OutOfOrderCore
-from .trace import ProbeTraceGenerator
-from .uops import Uop
+from .trace import ProbeTraceGenerator, TraceGenerator
 
 
 def warm_hash_index(memory: MemoryHierarchy, index) -> None:
@@ -52,6 +51,17 @@ class CoreTimingResult:
         return self.ci_half_width / self.cycles_per_tuple
 
 
+def core_model(core: str, config: SystemConfig, memory,
+               error: Type[Exception] = ValueError):
+    """A fresh baseline core model over ``memory``: ``"ooo"`` or
+    ``"inorder"``; any other name raises ``error``."""
+    if core == "ooo":
+        return OutOfOrderCore(config.ooo, memory)
+    if core == "inorder":
+        return InOrderCore(config.inorder, memory)
+    raise error(f"unknown core model {core!r} (want 'ooo' or 'inorder')")
+
+
 def measure_indexing(index: HashIndex, probe_keys: Column, *,
                      core: str = "ooo",
                      config: SystemConfig = DEFAULT_CONFIG,
@@ -59,65 +69,68 @@ def measure_indexing(index: HashIndex, probe_keys: Column, *,
                      measure_probes: Optional[int] = None,
                      batch_size: int = 128,
                      warm_index: bool = True) -> CoreTimingResult:
-    """Run the probe loop on a baseline core model; return cycles/tuple.
+    """Run the hash probe loop on a baseline core model; return
+    cycles/tuple (see :func:`time_probe_loop`)."""
+    return time_probe_loop(ProbeTraceGenerator(index, probe_keys), core=core,
+                           config=config, warmup_probes=warmup_probes,
+                           measure_probes=measure_probes,
+                           batch_size=batch_size, warm_index=warm_index)
 
-    ``warm_index`` mimics the paper's warmed-cache checkpoints: the index
-    (buckets, used overflow nodes and — for indirect layouts — the base key
-    column) is functionally installed in the LLC before timing starts, so
-    compulsory misses do not masquerade as capacity misses.  Indexes larger
-    than the LLC still miss, via LRU, exactly as in steady state.
+
+def time_probe_loop(generator: TraceGenerator, *, core: str,
+                    config: SystemConfig, warmup_probes: int,
+                    measure_probes: Optional[int], batch_size: int = 128,
+                    warm_index: bool = True) -> CoreTimingResult:
+    """Run ``generator``'s probe loop on a fresh ``core`` model: the
+    first ``warmup_probes`` probes warm it, the next ``measure_probes``
+    (all the rest by default) are timed in batches of ``batch_size``.
+
+    ``warm_index`` mimics the paper's warmed-cache checkpoints: the
+    index's working set is functionally installed in the LLC before
+    timing starts, so compulsory misses do not masquerade as capacity
+    misses.  Indexes larger than the LLC still miss, via LRU, exactly as
+    in steady state.
+
+    Probe counts are rounded down to whole traces: a generator whose
+    traces each consume ``tuples_per_trace > 1`` probes (the batched
+    descent) is timed in whole batches.
     """
     memory = MemoryHierarchy(config)
     if warm_index:
-        warm_hash_index(memory, index)
-    generator = ProbeTraceGenerator(index, probe_keys)
-    total_rows = len(probe_keys.values)
+        warm_hash_index(memory, generator.index)
+    model = core_model(core, config, memory)
+    per_trace = generator.tuples_per_trace
+    total_rows = len(generator.probe_keys.values)
     limit = total_rows if measure_probes is None else min(
         total_rows, warmup_probes + measure_probes)
-    if limit <= warmup_probes:
+    warmup_traces = warmup_probes // per_trace
+    if limit // per_trace <= warmup_traces:
         raise ValueError(
             f"need more than {warmup_probes} probes to measure after warm-up")
-    return _time_traces(generator.stream(range(limit)), memory, core=core,
-                        config=config, warmup_traces=warmup_probes,
-                        batch_size=batch_size)
 
-
-def _time_traces(traces: Iterable[List[Uop]], memory: MemoryHierarchy, *,
-                 core: str, config: SystemConfig, warmup_traces: int,
-                 batch_size: int, tuples_per_trace: int = 1
-                 ) -> CoreTimingResult:
-    """Run ``traces`` on a fresh ``core`` model over ``memory``: the first
-    ``warmup_traces`` warm it, the rest are timed in batches of
-    ``batch_size`` traces.  The timing tail both measure functions share."""
-    if core == "ooo":
-        model = OutOfOrderCore(config.ooo, memory)
-    elif core == "inorder":
-        model = InOrderCore(config.inorder, memory)
-    else:
-        raise ValueError(f"unknown core model {core!r} (want 'ooo' or 'inorder')")
-
-    stats = BatchStats(batch_size=batch_size)
+    stats = BatchStats(batch_size=max(1, batch_size // per_trace))
     measured_tuples = 0
     measure_start = 0.0
-    for trace_number, uops in enumerate(traces):
+    rows = range((limit // per_trace) * per_trace)
+    for trace_number, uops in enumerate(generator.stream(rows)):
         before = model.completion_time
         model.execute(uops)
         if trace_number == warmup_traces - 1:
             measure_start = model.completion_time
         elif trace_number >= warmup_traces:
             stats.add(model.completion_time - before)
-            measured_tuples += tuples_per_trace
+            measured_tuples += per_trace
 
     total = model.completion_time - measure_start
     mean, half = stats.interval()
     registry = StatsRegistry()
     model.register_into(registry, f"cpu.{core}")
     memory.register_into(registry, "mem")
-    tuples = measured_tuples + warmup_traces * tuples_per_trace
+    tuples = measured_tuples + warmup_traces * per_trace
     return CoreTimingResult(
         core=core,
         cycles_per_tuple=total / measured_tuples,
-        ci_half_width=half / tuples_per_trace,
+        ci_half_width=half / per_trace,
         tuples=measured_tuples,
         total_cycles=total,
         mem_stall_per_tuple=model.mem_stall_cycles / max(1, model.uops_executed)

@@ -40,15 +40,17 @@ def address_chain(hash_spec: HashSpec, extra: int = 0) -> Tuple[Uop, ...]:
 
 
 class TraceGenerator:
-    """Expands probe rows into uop traces, one trace per probe."""
+    """Expands probe rows into uop traces against a live ``index``, one
+    trace per probe."""
 
     #: Probes consumed per yielded trace (batched descent overrides).
     tuples_per_trace = 1
 
-    def __init__(self, probe_keys: Column) -> None:
+    def __init__(self, index, probe_keys: Column) -> None:
         if not probe_keys.is_materialized:
             raise ValueError("probe key column must be materialized in "
                              "simulated memory before tracing")
+        self.index = index
         self.probe_keys = probe_keys
 
     def probe_uops(self, row: int) -> List[Uop]:
@@ -66,11 +68,8 @@ class TraceGenerator:
 class ProbeTraceGenerator(TraceGenerator):
     """Generates per-probe uop traces against a live :class:`HashIndex`."""
 
-    def __init__(self, index: HashIndex, probe_keys: Column,
-                 model_mispredicts: bool = True) -> None:
-        super().__init__(probe_keys)
-        self.index = index
-        self.model_mispredicts = model_mispredicts
+    def __init__(self, index: HashIndex, probe_keys: Column) -> None:
+        super().__init__(index, probe_keys)
         # The loop-exit branch is strongly biased: a bimodal predictor
         # learns the most common chain length and only mispredicts probes
         # whose chain deviates from it.
@@ -91,8 +90,7 @@ class ProbeTraceGenerator(TraceGenerator):
 
         # Walk the actual chain.
         chain = list(index.walk_chain(key))
-        exit_mispredicts = (self.model_mispredicts
-                            and len(chain) != self._typical_chain)
+        exit_mispredicts = len(chain) != self._typical_chain
         prev_node_dep = addr_ready
         for node_index, node_addr in enumerate(chain):
             last = node_index == len(chain) - 1

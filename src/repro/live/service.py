@@ -145,7 +145,7 @@ class LiveService:
         # The DES driver's processes on an engine whose clock the caller
         # moves.  Arrivals are not known in advance, so the queues are
         # unbounded; the admission bound is the core's to enforce.
-        self.engine = Engine(detect_deadlock=False)
+        self.engine = Engine()
         self.engine.now = self.clock.now()
         self.queues = [BoundedQueue(self.engine, sys.maxsize,
                                     name=f"core{i}.admit")
@@ -178,11 +178,7 @@ class LiveService:
         """
         if now is None:
             now = self.clock.now()
-        engine = self.engine
-        now = max(now, engine.now)
-        engine.run(until=now)
-        engine.now = now  # idle time passes too
-        return now
+        return self.engine.run(until=max(now, self.engine.now))
 
     # -- arrivals --------------------------------------------------------
 

@@ -180,6 +180,8 @@ class ServingCore:
                  cores: int, *, queue_depth: Optional[int] = None,
                  resilience: Optional[ResilienceConfig] = None,
                  scope) -> None:
+        if queue_depth is not None and queue_depth < 1:
+            raise ServeError(f"queue_depth must be >= 1, got {queue_depth}")
         self.scope = scope
         self.model = model
         self.cores = cores

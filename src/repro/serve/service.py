@@ -19,15 +19,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..config import SystemConfig, DEFAULT_CONFIG
-from ..cpu.inorder import InOrderCore
-from ..cpu.ooo import OutOfOrderCore
-from ..cpu.timing import warm_hash_index
-from ..cpu.trace import ProbeTraceGenerator
+from ..cpu import TRACE_GENERATORS, time_probe_loop
 from ..db.column import Column
 from ..db.hashtable import HashIndex
 from ..errors import ServeError
-from ..mem.hierarchy import MemoryHierarchy
-from ..obs import StatsRegistry
 from ..sim.watchdog import Watchdog
 from ..widx.offload import offload_batched_tree, offload_probe
 
@@ -119,22 +114,13 @@ def measure_service(index: HashIndex, probe_column: Column, *,
     if walkers or mode:
         raise ServeError(
             f"core backend {backend!r} takes no walkers/mode")
-    memory = MemoryHierarchy(config)
-    warm_hash_index(memory, index)
-    if backend == "ooo":
-        model = OutOfOrderCore(config.ooo, memory)
-    else:
-        model = InOrderCore(config.inorder, memory)
-    generator = ProbeTraceGenerator(index, probe_column)
-    for uops in generator.stream(range(batch_keys)):
-        model.execute(uops)
-    registry = StatsRegistry()
-    model.register_into(registry, f"cpu.{backend}")
-    memory.register_into(registry, "mem")
+    timing = time_probe_loop(TRACE_GENERATORS["hash"](index, probe_column),
+                             core=backend, config=config, warmup_probes=0,
+                             measure_probes=batch_keys)
     return ServiceMeasurement(
         backend=backend, kind="", name="", walkers=0, mode="",
-        batch_keys=batch_keys, cycles=model.completion_time,
-        stats=registry.to_dict())
+        batch_keys=batch_keys, cycles=timing.total_cycles,
+        stats=timing.stats)
 
 
 class ServiceModel:

@@ -150,8 +150,6 @@ def simulate_service(requests: Sequence[Request], model: ServiceModel, *,
     only times and records the batches.
     """
     validate_run(requests, model, cores)
-    if queue_depth is not None and queue_depth < 1:
-        raise ServeError(f"queue_depth must be >= 1, got {queue_depth}")
     if registry is None:
         registry = StatsRegistry()
     core = ServingCore(policy, model, cores, queue_depth=queue_depth,

@@ -308,10 +308,13 @@ class Engine:
 
         Returns the final simulation time.  After the queue drains, any
         unhandled process failure is re-raised (annotated with the process
-        name); if failure-free but blocked processes remain, a deadlock is
-        reported as :class:`~repro.errors.SimulationHang`.  Neither check
-        runs when an ``until`` bound stops the run early — the simulation
-        is not over.  An ``until`` before the current time (or NaN) raises
+        name); if failure-free but blocked processes remain after a run
+        without a bound, a deadlock is reported as
+        :class:`~repro.errors.SimulationHang`.  A finite ``until`` ends the
+        run at ``until`` whether or not the queue drained first, and never
+        reports a deadlock — the simulation is not over; when it stops
+        the run with events still pending, neither check runs.  An
+        ``until`` before the current time (or NaN) raises
         :class:`~repro.errors.SimulationError`: the clock never rewinds.
         """
         self._check_until(until)
@@ -349,6 +352,11 @@ class Engine:
         finally:
             self._until = -_INF
         self._raise_unhandled_failures()
+        if limit < _INF:
+            # Drained before the bound: the clock still reaches it, and a
+            # blocked process is no deadlock while the simulation goes on.
+            self.now = limit
+            return limit
         if self.detect_deadlock and self._active_processes > 0:
             raise SimulationHang(
                 f"deadlock: {self._active_processes} live process(es) with "

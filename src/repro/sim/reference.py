@@ -99,6 +99,9 @@ class ReferenceEngine(Engine):
                 self.watchdog.check(self)
             thunk()
         self._raise_unhandled_failures()
+        if until is not None and until < math.inf:
+            self.now = until
+            return until
         if self.detect_deadlock and self._active_processes > 0:
             raise SimulationHang(
                 f"deadlock: {self._active_processes} live process(es) with "

@@ -106,14 +106,6 @@ def test_mispredict_marks_only_chain_exits(space):
         assert len(mispredicted) <= 1  # at most the exit branch per probe
 
 
-def test_mispredicts_can_be_disabled(space):
-    index, keys, truth = build_direct_index(space)
-    column = materialized_probe_column(space, keys, count=50)
-    generator = ProbeTraceGenerator(index, column, model_mispredicts=False)
-    for uops in generator.stream(range(50)):
-        assert not any(u.mispredict for u in uops)
-
-
 def test_unmaterialized_probe_column_rejected(space):
     from repro.db.column import Column
     from repro.db.types import DataType

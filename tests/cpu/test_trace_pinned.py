@@ -14,8 +14,7 @@ import zlib
 
 import pytest
 
-from repro.cpu.ordered import make_ordered_generator
-from repro.cpu.trace import ProbeTraceGenerator
+from repro.cpu import TRACE_GENERATORS
 from repro.harness.runner import MeasurementCache, RunSettings
 from repro.workloads.ordered_kernel import ORDERED_CLASSES
 
@@ -41,9 +40,9 @@ def cache():
 def generator_for(cache, name: str):
     if name == "hash":
         index, probes = cache.kernel_workload("Small")
-        return ProbeTraceGenerator(index, probes)
-    index, probes = cache.ordered_workload(f"{name}:Small")
-    return make_ordered_generator(name, index, probes)
+    else:
+        index, probes = cache.ordered_workload(f"{name}:Small")
+    return TRACE_GENERATORS[name](index, probes)
 
 
 def stream_crc(generator) -> int:
@@ -59,7 +58,7 @@ def stream_crc(generator) -> int:
 
 
 def test_every_generator_is_pinned():
-    assert set(PINNED) == {"hash", *ORDERED_CLASSES}
+    assert set(PINNED) == set(TRACE_GENERATORS) == {"hash", *ORDERED_CLASSES}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))

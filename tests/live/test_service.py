@@ -107,6 +107,13 @@ class TestBasicServing:
         with pytest.raises(ServeError, match="close"):
             service.drain()
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_bad_queue_depth_rejected_up_front(self, depth):
+        """The same refusal ``simulate_service`` makes, at construction
+        rather than at the first offer."""
+        with pytest.raises(ServeError, match="queue_depth must be >= 1"):
+            LiveService(MODEL, clock=ManualClock(), queue_depth=depth)
+
     def test_unbounded_admission_never_sheds(self):
         requests = build_requests(50.0, 40, 8, seed=5)
         result = replay(requests, policy="fifo").result()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, SimulationHang
 from repro.sim.engine import Engine
 from repro.sim.events import CompositeEvent, Event
 from repro.sim.reference import ReferenceEngine
@@ -152,6 +152,47 @@ def test_run_until_before_now_rejected(engine_cls):
     assert engine.now == 10.0
     assert engine.run(until=10.0) == 10.0   # equal to now: a no-op stop
     assert engine.run() == 12.0
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine])
+def test_bounded_run_reaches_its_bound_after_the_queue_drains(engine_cls):
+    engine = engine_cls()
+
+    def sleeper():
+        yield 1.0
+
+    engine.process(sleeper())
+    assert engine.run(until=5.0) == 5.0
+    assert engine.now == 5.0
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine])
+def test_bounded_run_skips_the_deadlock_check(engine_cls):
+    """A process parked on an unfired event is no deadlock before the
+    simulation ends; the unbounded run still reports it."""
+    engine = engine_cls()
+    gate = Event()
+
+    def parked():
+        yield gate
+
+    engine.process(parked())
+    assert engine.run(until=5.0) == 5.0
+    with pytest.raises(SimulationHang, match="deadlock"):
+        engine.run()
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine])
+def test_bounded_run_that_drains_reraises_a_process_failure(engine_cls):
+    engine = engine_cls()
+
+    def broken():
+        yield 1.0
+        raise RuntimeError("boom")
+
+    engine.process(broken(), name="broken")
+    with pytest.raises(RuntimeError, match="boom"):
+        engine.run(until=5.0)
 
 
 @pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine])

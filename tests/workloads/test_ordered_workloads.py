@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.cpu.ordered import (make_ordered_generator,
-                               measure_ordered_indexing)
+from repro.cpu.ordered import TRACE_GENERATORS, measure_ordered_indexing
 from repro.db.btree import BPlusTree, KEY_PAD, batched_search
 from repro.db.trie import MlpTrie
 from repro.db.wormhole import WormholeIndex
@@ -104,8 +103,7 @@ class TestMeasureOrderedIndexing:
 class TestTraceGenerators:
     def test_batched_generator_emits_whole_batches(self):
         index, column = build_ordered_workload("batched", "Small", PROBES)
-        generator = make_ordered_generator("batched", index, column,
-                                           batch=4)
+        generator = TRACE_GENERATORS["batched"](index, column, batch=4)
         traces = list(generator.stream(range(len(column.values))))
         assert len(traces) == PROBES // 4
         assert generator.tuples_per_trace == 4
@@ -117,8 +115,7 @@ class TestTraceGenerators:
         batch = [int(v) for v in column.values[:4]]
         visits = []
         batched_search(index, sorted(batch), visit_log=visits)
-        generator = make_ordered_generator("batched", index, column,
-                                           batch=4)
+        generator = TRACE_GENERATORS["batched"](index, column, batch=4)
         uops = next(iter(generator.stream(range(4))))
         node_loads = [u for u in uops
                       if u.kind.name == "LOAD"
@@ -128,7 +125,7 @@ class TestTraceGenerators:
     def test_per_probe_generators_cover_all_classes(self):
         for index_class in ("btree", "trie", "wormhole"):
             index, column = build_ordered_workload(index_class, "Small", 16)
-            generator = make_ordered_generator(index_class, index, column)
+            generator = TRACE_GENERATORS[index_class](index, column)
             traces = list(generator.stream(range(16)))
             assert len(traces) == 16
             assert all(len(t) > 0 for t in traces)
