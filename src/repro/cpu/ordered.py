@@ -258,14 +258,13 @@ class WormholeTraceGenerator(TraceGenerator):
 
 class BatchedTreeTraceGenerator(TraceGenerator):
     """Level-wise batched descents: each trace consumes ``batch`` probes,
-    sorted by key so that neighbours share the upper nodes' fetches."""
+    descended together in key order."""
 
     def __init__(self, tree: BPlusTree, probe_keys: Column,
                  batch: int = 4) -> None:
         super().__init__(tree, probe_keys)
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        self.batch = batch
         self.tuples_per_trace = batch
 
     def stream(self, rows: Optional[Sequence[int]] = None) -> Iterator[List[Uop]]:
@@ -274,8 +273,9 @@ class BatchedTreeTraceGenerator(TraceGenerator):
         if rows is None:
             rows = range(len(self.probe_keys.values))
         rows = list(rows)
-        for start in range(0, len(rows) - self.batch + 1, self.batch):
-            yield self.batch_uops(rows[start:start + self.batch])
+        batch = self.tuples_per_trace
+        for start in range(0, len(rows) - batch + 1, batch):
+            yield self.batch_uops(rows[start:start + batch])
 
     def batch_uops(self, rows: Sequence[int]) -> List[Uop]:
         """One level-wise batched descent: each distinct node on the

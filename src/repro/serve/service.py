@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..config import SystemConfig, DEFAULT_CONFIG
-from ..cpu import TRACE_GENERATORS, time_probe_loop
+from ..cpu.ordered import TRACE_GENERATORS
+from ..cpu.timing import time_probe_loop
 from ..db.column import Column
 from ..db.hashtable import HashIndex
 from ..errors import ServeError
